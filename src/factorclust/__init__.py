@@ -26,9 +26,7 @@ from .evaluation import (
     DetectionErrors,
     EvaluationError,
     SummaryTable,
-    TruthComparison,
     aggregate_records,
-    aggregate_replications,
     detection_errors,
     misclassification_count,
     projection_distance,
@@ -50,9 +48,7 @@ from .loadings import (
     save_loadings_csv,
 )
 from .panel import (
-    LagCovariance,
     PanelError,
-    PooledMatrix,
     TimeSeriesPanel,
     lag_autocov,
     load_labels,
@@ -82,8 +78,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # panel
-    "PanelError", "TimeSeriesPanel", "LagCovariance", "PooledMatrix",
-    "load_panel", "load_labels", "lag_autocov", "pooled_matrix", "residualize",
+    "PanelError", "TimeSeriesPanel", "load_panel", "load_labels",
+    "lag_autocov", "pooled_matrix", "residualize",
     # factor counting
     "FactorCountError", "FactorCountReport", "cumulative_ratio_sequence",
     "select_factor_counts", "single_matrix_ratio_baseline",
@@ -96,9 +92,8 @@ __all__ = [
     "detect_no_cluster", "cluster_upper_bound", "similarity_matrix", "kmeans",
     "wcss_curve", "elbow_select", "cluster_pipeline", "label_distribution",
     # evaluation
-    "EvaluationError", "DetectionErrors", "TruthComparison", "SummaryTable",
-    "projection_distance", "detection_errors", "misclassification_count",
-    "aggregate_replications", "aggregate_records",
+    "EvaluationError", "DetectionErrors", "SummaryTable", "projection_distance",
+    "detection_errors", "misclassification_count", "aggregate_records",
     # simulation
     "SimulationError", "ScenarioSpec", "ScenarioTruth", "Example1Population",
     "MonteCarloConfig", "MonteCarloResult", "scenario_i", "scenario_ii",

@@ -4,7 +4,7 @@ misclassification counts, plus mean/sd aggregation across replications."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -15,12 +15,10 @@ from scipy.optimize import linear_sum_assignment
 __all__ = [
     "EvaluationError",
     "DetectionErrors",
-    "TruthComparison",
     "SummaryTable",
     "projection_distance",
     "detection_errors",
     "misclassification_count",
-    "aggregate_replications",
     "aggregate_records",
 ]
 
@@ -129,38 +127,6 @@ def misclassification_count(
 
 
 @dataclass
-class TruthComparison:
-    """Per-replication metrics of a pipeline run against the known truth."""
-
-    subspace_error_strong_op: float | None = None
-    subspace_error_strong_fro: float | None = None
-    subspace_error_weak_op: float | None = None
-    subspace_error_weak_fro: float | None = None
-    e1: float | None = None
-    e2: float | None = None
-    tau: int | None = None
-    tau_rate: float | None = None
-    d_hat_correct: bool | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("e1", "e2", "tau_rate"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise EvaluationError(f"{name}={v} outside [0, 1]")
-        fro = self.subspace_error_strong_fro
-        op = self.subspace_error_strong_op
-        if fro is not None and op is not None and fro < op - 1e-12:
-            raise EvaluationError("Frobenius norm below operator norm (strong)")
-        fro = self.subspace_error_weak_fro
-        op = self.subspace_error_weak_op
-        if fro is not None and op is not None and fro < op - 1e-12:
-            raise EvaluationError("Frobenius norm below operator norm (weak)")
-
-    def to_record(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-@dataclass
 class SummaryTable:
     """Per-metric mean, sample sd and replication count."""
 
@@ -208,9 +174,3 @@ def aggregate_records(records: Sequence[dict]) -> SummaryTable:
         rows.append((key, mean, sd, len(arr)))
     return SummaryTable(rows=rows)
 
-
-def aggregate_replications(comparisons: Sequence[TruthComparison]) -> SummaryTable:
-    """Aggregate a list of per-replication truth comparisons."""
-    if not comparisons:
-        raise EvaluationError("no replications to aggregate")
-    return aggregate_records([c.to_record() for c in comparisons])

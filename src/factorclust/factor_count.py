@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import PanelError, TimeSeriesPanel, lag_autocov_sequence, pooled_matrix_from_covs
+from .panel import TimeSeriesPanel, lag_autocov_sequence, pooled_matrix_from_covs
 
 __all__ = [
     "FactorCountError",
@@ -84,9 +84,11 @@ class FactorCountReport:
     tie_break_applied: bool = False
 
     def with_selection(self) -> "FactorCountReport":
-        """Copy of the report with the selection filled in."""
-        r0, r = select_factor_counts(self)
-        return dataclasses.replace(self, selected=(r0, r0 + r))
+        """Copy of the report with the selection filled in; ``self`` is unchanged."""
+        report = dataclasses.replace(self)
+        r0, r = select_factor_counts(report)
+        report.selected = (r0, r0 + r)
+        return report
 
     def to_dict(self) -> dict:
         """JSON-ready representation (inf/nan ratios become strings)."""
@@ -120,6 +122,17 @@ class FactorCountReport:
 def default_j0(p: int) -> int:
     """Default truncation point: floor(p/4), at least 8, at most p."""
     return min(max(8, p // 4), p)
+
+
+def _checked_j0(J0: int | None, p: int) -> int:
+    """J0, or its default for p, after checking 2 <= J0 <= p."""
+    if J0 is None:
+        J0 = default_j0(p)
+    if J0 < 2:
+        raise FactorCountError(f"J0 must be at least 2, got {J0}")
+    if J0 > p:
+        raise FactorCountError(f"J0={J0} exceeds the number of series p={p}")
+    return J0
 
 
 def _ratios_from_weighted_sums(weighted: np.ndarray, j0: int):
@@ -161,6 +174,24 @@ def _local_maxima(ratios: np.ndarray, truncated: np.ndarray) -> list[int]:
     return out
 
 
+def _ratio_report(
+    weighted: np.ndarray, J0: int, k0: int, n: int, eigs: np.ndarray, method: str
+) -> FactorCountReport:
+    """Report of the ratios of ``weighted`` up to J0, selection empty."""
+    ratios, truncated = _ratios_from_weighted_sums(weighted, J0)
+    return FactorCountReport(
+        ratios=ratios,
+        truncated=truncated,
+        local_max_indices=_local_maxima(ratios, truncated),
+        selected=None,
+        J0=J0,
+        k0=k0,
+        n=n,
+        per_lag_eigenvalues=eigs,
+        method=method,
+    )
+
+
 def cumulative_ratio_sequence(
     panel: TimeSeriesPanel, k0: int = 5, J0: int | None = None
 ) -> FactorCountReport:
@@ -181,34 +212,17 @@ def cumulative_ratio_sequence(
         If J0 < 2 or the eigenvalue computation fails.
     """
     p, n = panel.p, panel.n
-    if J0 is None:
-        J0 = default_j0(p)
-    if J0 < 2:
-        raise FactorCountError(f"J0 must be at least 2, got {J0}")
-    if J0 > p:
-        raise FactorCountError(f"J0={J0} exceeds the number of series p={p}")
+    J0 = _checked_j0(J0, p)
     covs = lag_autocov_sequence(panel, k0)
     eigs = np.empty((k0 + 1, p))
     try:
         for k, cov in enumerate(covs):
             # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
-            eigs[k] = np.linalg.svd(cov.matrix, compute_uv=False) ** 2
+            eigs[k] = np.linalg.svd(cov, compute_uv=False) ** 2
     except np.linalg.LinAlgError as exc:
         raise FactorCountError(f"eigen-solver failure at lag {k}: {exc}") from exc
     weights = 1.0 - np.arange(k0 + 1) / n
-    weighted = weights @ eigs
-    ratios, truncated = _ratios_from_weighted_sums(weighted, J0)
-    return FactorCountReport(
-        ratios=ratios,
-        truncated=truncated,
-        local_max_indices=_local_maxima(ratios, truncated),
-        selected=None,
-        J0=J0,
-        k0=k0,
-        n=n,
-        per_lag_eigenvalues=eigs,
-        method="cumulative",
-    )
+    return _ratio_report(weights @ eigs, J0, k0, n, eigs, "cumulative")
 
 
 def single_matrix_ratio_baseline(
@@ -219,31 +233,14 @@ def single_matrix_ratio_baseline(
     Same selection rule as the cumulative method but with
     R_j = lam_j(M) / lam_{j+1}(M).
     """
-    p, n = panel.p, panel.n
-    if J0 is None:
-        J0 = default_j0(p)
-    if J0 < 2:
-        raise FactorCountError(f"J0 must be at least 2, got {J0}")
-    if J0 > p:
-        raise FactorCountError(f"J0={J0} exceeds the number of series p={p}")
+    J0 = _checked_j0(J0, panel.p)
     pooled = pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))
     try:
-        eigvals = np.linalg.eigvalsh(pooled.matrix)[::-1]
+        eigvals = np.linalg.eigvalsh(pooled)[::-1]
     except np.linalg.LinAlgError as exc:
         raise FactorCountError(f"eigen-solver failure on pooled matrix: {exc}") from exc
     eigvals = np.clip(eigvals, 0.0, None)
-    ratios, truncated = _ratios_from_weighted_sums(eigvals, J0)
-    return FactorCountReport(
-        ratios=ratios,
-        truncated=truncated,
-        local_max_indices=_local_maxima(ratios, truncated),
-        selected=None,
-        J0=J0,
-        k0=k0,
-        n=n,
-        per_lag_eigenvalues=eigvals[np.newaxis, :],
-        method="pooled",
-    )
+    return _ratio_report(eigvals, J0, k0, panel.n, eigvals[np.newaxis, :], "pooled")
 
 
 def select_factor_counts(report: FactorCountReport) -> tuple[int, int]:

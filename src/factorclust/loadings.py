@@ -115,7 +115,7 @@ def estimate_strong_loadings(
     if not 1 <= r0 < panel.p:
         raise LoadingError(f"r0={r0} outside [1, {panel.p - 1}]")
     pooled = pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))
-    vecs = _top_eigenvectors(pooled.matrix, r0, "strong loadings")
+    vecs = _top_eigenvectors(pooled, r0, "strong loadings")
     return LoadingMatrix(matrix=vecs, kind="strong")
 
 
@@ -142,15 +142,11 @@ def estimate_weak_loadings(
     covs = lag_autocov_sequence(panel, k0)
     q = strong.matrix
     if strong.r > 0:
-        projected = []
-        for cov in covs:
-            s = cov.matrix
-            s = s - q @ (q.T @ s)
-            s = s - (s @ q) @ q.T
-            projected.append(type(cov)(lag=cov.lag, matrix=s))
-        covs = projected
+        # E S(k) E with E = I - Q Q^T, one lag at a time as the pool sums them
+        covs = (s - q @ (q.T @ s) for s in covs)
+        covs = (s - (s @ q) @ q.T for s in covs)
     pooled = pooled_matrix_from_covs(covs)
-    vecs = _top_eigenvectors(pooled.matrix, r, "weak loadings")
+    vecs = _top_eigenvectors(pooled, r, "weak loadings")
     if strong.r > 0:
         overlap = np.abs(q.T @ vecs).max()
         if overlap > 1e-8:

@@ -28,8 +28,6 @@ import numpy as np
 __all__ = [
     "PanelError",
     "TimeSeriesPanel",
-    "LagCovariance",
-    "PooledMatrix",
     "load_panel",
     "load_labels",
     "lag_autocov",
@@ -99,45 +97,6 @@ class TimeSeriesPanel:
     def with_values(self, values: np.ndarray) -> "TimeSeriesPanel":
         """Same ids/labels, new data matrix of identical shape."""
         return replace(self, values=values)
-
-
-@dataclass(frozen=True)
-class LagCovariance:
-    """Sample autocovariance matrix S(k) for one lag."""
-
-    lag: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.lag < 0:
-            raise PanelError(f"lag must be nonnegative, got {self.lag}")
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise PanelError(f"covariance must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise PanelError("covariance has non-finite entries")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class PooledMatrix:
-    """Symmetric PSD pool M = sum_k S(k) S(k)^T over lags 0..k0."""
-
-    k0: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.k0 < 0:
-            raise PanelError(f"k0 must be nonnegative, got {self.k0}")
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise PanelError(f"pooled matrix must be square, got shape {m.shape}")
-        scale = np.abs(m).max() or 1.0
-        if np.abs(m - m.T).max() > 1e-10 * scale:
-            raise PanelError("pooled matrix is not symmetric within tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 def _open_text(source: str | Path | IO[str] | IO[bytes]) -> IO[str]:
@@ -258,8 +217,10 @@ def load_labels(source: str | Path | IO[str] | IO[bytes]) -> dict[str, str]:
     return mapping
 
 
-def lag_autocov(panel: TimeSeriesPanel, k: int) -> LagCovariance:
-    """Sample lag-k autocovariance with full-sample centering, divisor n.
+def lag_autocov(panel: TimeSeriesPanel, k: int) -> np.ndarray:
+    """Sample lag-k autocovariance S(k) with full-sample centering, divisor n.
+
+    Returns a new p x p array.
 
     Raises
     ------
@@ -272,38 +233,52 @@ def lag_autocov(panel: TimeSeriesPanel, k: int) -> LagCovariance:
     centered = panel.values - panel.values.mean(axis=1, keepdims=True)
     lead = centered[:, k:]
     trail = centered[:, : n - k]
-    return LagCovariance(lag=k, matrix=(lead @ trail.T) / n)
+    return (lead @ trail.T) / n
 
 
-def lag_autocov_sequence(panel: TimeSeriesPanel, k0: int) -> list[LagCovariance]:
-    """All S(k) for k = 0..k0, sharing one centering pass."""
+def lag_autocov_sequence(panel: TimeSeriesPanel, k0: int) -> np.ndarray:
+    """Read-only stack of S(0)..S(k0), shape (k0 + 1, p, p), one centering pass.
+
+    Slice k equals ``lag_autocov(panel, k)``.
+
+    Raises
+    ------
+    PanelError
+        If ``k0`` is negative or ``k0 >= n``.
+    """
     n = panel.n
     if k0 < 0 or k0 >= n:
         raise PanelError(f"k0={k0} outside [0, {n - 1}]")
     centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    out = []
+    stack = np.empty((k0 + 1, panel.p, panel.p))
     for k in range(k0 + 1):
-        out.append(
-            LagCovariance(lag=k, matrix=(centered[:, k:] @ centered[:, : n - k].T) / n)
-        )
-    return out
+        stack[k] = (centered[:, k:] @ centered[:, : n - k].T) / n
+    stack.setflags(write=False)
+    return stack
 
 
-def pooled_matrix_from_covs(covs: Iterable[LagCovariance]) -> PooledMatrix:
-    """Accumulate S(k) S(k)^T and symmetrize the sum."""
+def pooled_matrix_from_covs(covs: Iterable[np.ndarray]) -> np.ndarray:
+    """Pool M = sum_k S(k) S(k)^T of p x p lag covariances, a p x p array.
+
+    The sum is symmetrized after accumulation.  ``covs`` is consumed once,
+    so it may be a generator.
+
+    Raises
+    ------
+    PanelError
+        If ``covs`` is empty.
+    """
     acc: np.ndarray | None = None
-    k_max = -1
     for cov in covs:
-        term = cov.matrix @ cov.matrix.T
+        term = cov @ cov.T
         acc = term if acc is None else acc + term
-        k_max = max(k_max, cov.lag)
     if acc is None:
         raise PanelError("no lag covariances supplied")
-    return PooledMatrix(k0=k_max, matrix=(acc + acc.T) / 2.0)
+    return (acc + acc.T) / 2.0
 
 
-def pooled_matrix(panel: TimeSeriesPanel, k0: int) -> PooledMatrix:
-    """M = sum_{k=0..k0} S(k) S(k)^T, symmetrized after accumulation."""
+def pooled_matrix(panel: TimeSeriesPanel, k0: int) -> np.ndarray:
+    """M = sum_{k=0..k0} S(k) S(k)^T of the panel, a symmetric p x p array."""
     return pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))
 
 

@@ -178,13 +178,13 @@ def test_criterion_7_oracle_equivalence():
         k = int(r.integers(0, min(4, n)))
         scale = max(np.abs(values).max() ** 2, 1.0)
         diff = np.abs(
-            lag_autocov(panel, k).matrix - lag_autocov_oracle(values, k)
+            lag_autocov(panel, k) - lag_autocov_oracle(values, k)
         ).max() / scale
         worst["lag"] = max(worst["lag"], diff)
 
         k0 = int(r.integers(0, min(3, n)))
         diff = np.abs(
-            pooled_matrix(panel, k0).matrix - pooled_oracle(values, k0)
+            pooled_matrix(panel, k0) - pooled_oracle(values, k0)
         ).max() / scale**2
         worst["pool"] = max(worst["pool"], diff)
 

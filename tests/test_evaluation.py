@@ -6,9 +6,7 @@ import pytest
 from factorclust import (
     EvaluationError,
     SummaryTable,
-    TruthComparison,
     aggregate_records,
-    aggregate_replications,
     detection_errors,
     misclassification_count,
     projection_distance,
@@ -165,8 +163,7 @@ class TestMisclassification:
 
 class TestAggregation:
     def test_single_replication(self):
-        tc = TruthComparison(e1=0.25, e2=0.0, d_hat_correct=True)
-        table = aggregate_replications([tc])
+        table = aggregate_records([{"e1": 0.25, "e2": 0.0, "d_hat_correct": True}])
         stats = table.as_dict()
         assert stats["e1"] == (0.25, 0.0, 1)
         assert stats["d_hat_correct"] == (1.0, 0.0, 1)
@@ -204,7 +201,7 @@ class TestAggregation:
 
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError, match="no replications"):
-            aggregate_replications([])
+            aggregate_records([])
 
     def test_csv_output(self, tmp_path):
         table = SummaryTable(rows=[("metric_a", 0.5, 0.1, 10)])
@@ -213,11 +210,3 @@ class TestAggregation:
         text = out.read_text().splitlines()
         assert text[0] == "metric,mean,sd,n_reps"
         assert text[1].startswith("metric_a,0.5,")
-
-    def test_truth_comparison_validation(self):
-        with pytest.raises(EvaluationError, match="outside"):
-            TruthComparison(e1=1.5)
-        with pytest.raises(EvaluationError, match="Frobenius"):
-            TruthComparison(
-                subspace_error_strong_op=1.0, subspace_error_strong_fro=0.5
-            )

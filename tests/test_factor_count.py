@@ -145,6 +145,11 @@ class TestSelection:
         done = report.with_selection()
         assert done.selected == (1, 3)
         assert report.selected is None
+        tied = make_report([9.0, 1.0, 5.0, 1.0, 5.0, 1.0, 2.0])
+        with pytest.warns(UserWarning, match="smaller index"):
+            done = tied.with_selection()
+        assert done.tie_break_applied
+        assert not tied.tie_break_applied
 
     def test_noiseless_recovery_rate(self):
         # exact-rank panels: the total-count spike is the truncation

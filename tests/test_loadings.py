@@ -61,7 +61,7 @@ class TestStrongLoadings:
         panel = TimeSeriesPanel(values=rng.standard_normal((5, 120)))
         k0, r0 = 2, 3
         est = estimate_strong_loadings(panel, k0=k0, r0=r0)
-        m = pooled_matrix(panel, k0).matrix
+        m = pooled_matrix(panel, k0)
         eigvals, eigvecs = jacobi_eigh(m)
         assert np.min(np.diff(eigvals[::-1])) != 0  # distinct spectrum
         oracle = _orient_columns(eigvecs[:, :r0])

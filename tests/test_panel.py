@@ -14,6 +14,7 @@ from factorclust import (
     residualize,
 )
 
+from factorclust.panel import lag_autocov_sequence
 from oracles import lag_autocov_oracle, pooled_oracle, residualize_oracle
 
 
@@ -107,17 +108,17 @@ class TestLagAutocov:
     def test_constant_panel_is_zero(self):
         panel = TimeSeriesPanel(values=np.full((3, 10), 5.0))
         for k in range(4):
-            np.testing.assert_allclose(lag_autocov(panel, k).matrix, 0.0, atol=1e-14)
+            np.testing.assert_allclose(lag_autocov(panel, k), 0.0, atol=1e-14)
 
     def test_lag0_symmetric_psd(self):
         panel = random_panel(5, 40, seed=1)
-        s0 = lag_autocov(panel, 0).matrix
+        s0 = lag_autocov(panel, 0)
         np.testing.assert_allclose(s0, s0.T, atol=1e-12)
         assert np.linalg.eigvalsh(s0).min() >= -1e-12
 
     def test_small_panel_matches_loop_oracle(self):
         panel = TimeSeriesPanel(values=np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]]))
-        got = lag_autocov(panel, 1).matrix
+        got = lag_autocov(panel, 1)
         want = lag_autocov_oracle(panel.values, 1)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -126,12 +127,17 @@ class TestLagAutocov:
         for seed in range(5):
             values = rng.integers(-4, 5, size=(4, 9)).astype(float)
             panel = TimeSeriesPanel(values=values)
+            stack = lag_autocov_sequence(panel, panel.n - 1)
+            assert stack.shape == (panel.n, panel.p, panel.p)
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
             for k in range(panel.n):
                 np.testing.assert_allclose(
-                    lag_autocov(panel, k).matrix,
+                    lag_autocov(panel, k),
                     lag_autocov_oracle(values, k),
                     atol=1e-12,
                 )
+                np.testing.assert_array_equal(stack[k], lag_autocov(panel, k))
 
     def test_lag_out_of_range(self):
         panel = random_panel(3, 6)
@@ -144,21 +150,21 @@ class TestLagAutocov:
 class TestPooledMatrix:
     def test_k0_zero_is_gram_of_lag0(self):
         panel = random_panel(4, 20, seed=2)
-        s0 = lag_autocov(panel, 0).matrix
-        got = pooled_matrix(panel, 0).matrix
+        s0 = lag_autocov(panel, 0)
+        got = pooled_matrix(panel, 0)
         np.testing.assert_allclose(got, (s0 @ s0.T + (s0 @ s0.T).T) / 2, atol=1e-14)
 
     def test_psd_for_random_panels(self):
         for seed in range(8):
             panel = random_panel(6, 30, seed=seed)
-            m = pooled_matrix(panel, 3).matrix
+            m = pooled_matrix(panel, 3)
             bound = -1e-10 * np.linalg.norm(m, 2)
             assert np.linalg.eigvalsh(m).min() >= bound
 
     def test_small_panel_matches_oracle(self):
         rng = np.random.default_rng(11)
         panel = TimeSeriesPanel(values=rng.standard_normal((3, 6)))
-        got = pooled_matrix(panel, 2).matrix
+        got = pooled_matrix(panel, 2)
         want = pooled_oracle(panel.values, 2)
         np.testing.assert_allclose(got, want, atol=1e-12)
 

@@ -34,7 +34,7 @@ int_panels = arrays(
 def test_lag_autocov_matches_loop_oracle(values, k):
     panel = TimeSeriesPanel(values=values.astype(float))
     k = k % panel.n
-    got = lag_autocov(panel, k).matrix
+    got = lag_autocov(panel, k)
     np.testing.assert_allclose(got, lag_autocov_oracle(panel.values, k), atol=1e-12)
 
 
@@ -42,7 +42,7 @@ def test_lag_autocov_matches_loop_oracle(values, k):
 def test_pooled_matrix_symmetric_psd(values, k0):
     panel = TimeSeriesPanel(values=values.astype(float))
     k0 = k0 % panel.n
-    m = pooled_matrix(panel, k0).matrix
+    m = pooled_matrix(panel, k0)
     np.testing.assert_array_equal(m, m.T)
     scale = np.linalg.norm(m, 2)
     assert np.linalg.eigvalsh(m).min() >= -1e-10 * max(scale, 1.0)
