@@ -34,7 +34,6 @@ from .evaluation import EvaluationError
 from .factor_count import (
     FactorCountError,
     cumulative_ratio_sequence,
-    select_factor_counts,
 )
 from .loadings import LoadingError, save_loadings_csv
 from .panel import PanelError, load_labels, load_panel
@@ -155,8 +154,7 @@ def _cmd_factor_count(args: argparse.Namespace) -> int:
     report = cumulative_ratio_sequence(panel, k0=args.k0, J0=args.j0)
     doc_error = None
     try:
-        r0, r = select_factor_counts(report)
-        report.selected = (r0, r0 + r)
+        report = report.with_selection()
     except FactorCountError as exc:
         doc_error = str(exc)
     doc = report.to_dict()

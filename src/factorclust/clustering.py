@@ -25,7 +25,7 @@ import numpy as np
 from .factor_count import (
     FactorCountReport,
     cumulative_ratio_sequence,
-    select_factor_counts,
+    select_factor_counts,  # noqa: F401 - perfbench/tracer.py wraps this binding
 )
 from .loadings import LoadingMatrix, estimate_strong_loadings, estimate_weak_loadings
 from .panel import TimeSeriesPanel
@@ -496,9 +496,9 @@ def cluster_pipeline(
     factor_report: FactorCountReport | None = None
     counts_source = "override"
     if counts is None:
-        factor_report = cumulative_ratio_sequence(panel, k0=k0, J0=J0)
-        r0, r = select_factor_counts(factor_report)
-        factor_report.selected = (r0, r0 + r)
+        factor_report = cumulative_ratio_sequence(panel, k0=k0, J0=J0).with_selection()
+        r0, total = factor_report.selected
+        r = total - r0
         counts_source = "estimated"
     else:
         r0, r = counts

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import TimeSeriesPanel, lag_autocov_sequence, pooled_matrix_from_covs
+from .panel import (
+    TimeSeriesPanel,
+    lag_autocov_sequence,
+    pooled_matrix_from_covs,
+    reduced_panel,
+)
 
 __all__ = [
     "FactorCountError",
@@ -63,9 +68,11 @@ class FactorCountReport:
         R_0 = 1 and a left-sided test at s = J0 - 1.
     selected : (int, int) or None
         (r0_hat, r0_hat + r_hat) once selection has run.
-    per_lag_eigenvalues : ndarray
+    per_lag_eigenvalues : ndarray, shape (rows, p)
         Row k holds the descending eigenvalues of S(k) S(k)^T; for the
         single-matrix baseline a single row holds the eigenvalues of M.
+        Entries past min(p, n) are exact zeros: for p > n the spectra are
+        computed in n dimensions (see ``panel.reduced_panel``).
     method : {"cumulative", "pooled"}
     tie_break_applied : bool
         True when the two largest maxima were separated only by the
@@ -84,11 +91,12 @@ class FactorCountReport:
     tie_break_applied: bool = False
 
     def with_selection(self) -> "FactorCountReport":
-        """Copy of the report with the selection filled in; ``self`` is unchanged."""
-        report = dataclasses.replace(self)
-        r0, r = select_factor_counts(report)
-        report.selected = (r0, r0 + r)
-        return report
+        """Copy of the report with ``selected`` and ``tie_break_applied`` filled
+        in; ``self`` is unchanged."""
+        r0, r = select_factor_counts(self)
+        return dataclasses.replace(
+            self, selected=(r0, r0 + r), tie_break_applied=_tie_at_cut(self)
+        )
 
     def to_dict(self) -> dict:
         """JSON-ready representation (inf/nan ratios become strings)."""
@@ -213,12 +221,13 @@ def cumulative_ratio_sequence(
     """
     p, n = panel.p, panel.n
     J0 = _checked_j0(J0, p)
-    covs = lag_autocov_sequence(panel, k0)
-    eigs = np.empty((k0 + 1, p))
+    _, small = reduced_panel(panel)
+    covs = lag_autocov_sequence(small, k0)
+    eigs = np.zeros((k0 + 1, p))
     try:
         for k, cov in enumerate(covs):
             # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
-            eigs[k] = np.linalg.svd(cov, compute_uv=False) ** 2
+            eigs[k, : small.p] = np.linalg.svd(cov, compute_uv=False) ** 2
     except np.linalg.LinAlgError as exc:
         raise FactorCountError(f"eigen-solver failure at lag {k}: {exc}") from exc
     weights = 1.0 - np.arange(k0 + 1) / n
@@ -234,21 +243,35 @@ def single_matrix_ratio_baseline(
     R_j = lam_j(M) / lam_{j+1}(M).
     """
     J0 = _checked_j0(J0, panel.p)
-    pooled = pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))
+    _, small = reduced_panel(panel)
+    pooled = pooled_matrix_from_covs(lag_autocov_sequence(small, k0))
+    eigvals = np.zeros(panel.p)
     try:
-        eigvals = np.linalg.eigvalsh(pooled)[::-1]
+        eigvals[: small.p] = np.linalg.eigvalsh(pooled)[::-1]
     except np.linalg.LinAlgError as exc:
         raise FactorCountError(f"eigen-solver failure on pooled matrix: {exc}") from exc
     eigvals = np.clip(eigvals, 0.0, None)
     return _ratio_report(eigvals, J0, k0, panel.n, eigvals[np.newaxis, :], "pooled")
 
 
+def _ranked_maxima(report: FactorCountReport) -> list[int]:
+    """Local maxima by (ratio desc, index asc); inf spikes rank first."""
+    return sorted(report.local_max_indices, key=lambda j: (-report.ratios[j - 1], j))
+
+
+def _tie_at_cut(report: FactorCountReport) -> bool:
+    """True when the second and third ranked maxima have equal ratios."""
+    values = [report.ratios[j - 1] for j in _ranked_maxima(report)[1:3]]
+    return len(values) == 2 and values[0] == values[1]
+
+
 def select_factor_counts(report: FactorCountReport) -> tuple[int, int]:
     """Pick (r0_hat, r_hat) from the two largest local maxima.
 
     Ties in ratio value are broken toward the smaller index (the
-    stronger-factor reading); ``report.tie_break_applied`` is set when the
-    rule actually decided the cut.
+    stronger-factor reading), with a warning when the rule actually
+    decided the cut.  ``report`` is left unchanged; ``with_selection``
+    returns a copy carrying the selection and the tie flag.
 
     Raises
     ------
@@ -262,15 +285,11 @@ def select_factor_counts(report: FactorCountReport) -> tuple[int, int]:
             f"found {len(maxima)} local maxima in the ratio sequence; "
             "increase J0 or supply the factor counts manually"
         )
-    # sort by (value desc, index asc); inf spikes rank first
-    order = sorted(maxima, key=lambda j: (-report.ratios[j - 1], j))
-    top_two = order[:2]
-    if len(order) > 2 and report.ratios[order[1] - 1] == report.ratios[order[2] - 1]:
+    if _tie_at_cut(report):
         # the value at the selection cut is ambiguous
-        report.tie_break_applied = True
         warnings.warn(
             "equal ratio values at different indices; smaller index preferred",
             stacklevel=2,
         )
-    tau1, tau2 = sorted(top_two)
+    tau1, tau2 = sorted(_ranked_maxima(report)[:2])
     return tau1, tau2 - tau1

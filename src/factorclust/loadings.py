@@ -5,6 +5,14 @@ orthonormal columns and compared through their projection matrices.  The
 strong loadings are the leading eigenvectors of the pooled matrix M; the
 weak loadings repeat the eigenanalysis after projecting the panel onto the
 orthocomplement of the strong span, which sharpens the weaker structure.
+
+When p > n both eigenanalyses run in n dimensions: with the thin QR
+X = U R of the centered panel, S(k) = U C(k) U^T (see ``panel``), so the
+pooled matrix is U (sum_k C(k) C(k)^T) U^T and its eigenvectors are U
+times those of the n x n pool.  The strong span is projected out in the
+same space through U^T Q.  Since rank S(k) <= min(p, n - 1), only
+min(p, n) - 1 directions are identified: r0 <= m - 1 and r <= m - r0 - 1
+with m = min(p, n); larger counts raise ``LoadingError``.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .panel import (
     TimeSeriesPanel,
     lag_autocov_sequence,
     pooled_matrix_from_covs,
+    reduced_panel,
 )
 
 __all__ = [
@@ -81,8 +90,11 @@ def _orient_columns(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _top_eigenvectors(sym: np.ndarray, r: int, what: str) -> np.ndarray:
-    """Leading r eigenvectors of a symmetric matrix, descending, sign-fixed."""
+def _top_eigenvectors(
+    sym: np.ndarray, r: int, what: str, basis: np.ndarray | None
+) -> np.ndarray:
+    """Leading r eigenvectors of a symmetric matrix, descending, lifted by
+    ``basis`` (if given) and sign-fixed."""
     try:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -99,7 +111,8 @@ def _top_eigenvectors(sym: np.ndarray, r: int, what: str) -> np.ndarray:
                 "the returned basis spans a poorly separated eigenspace",
                 stacklevel=3,
             )
-    return _orient_columns(eigvecs[:, :r])
+    vecs = eigvecs[:, :r]
+    return _orient_columns(vecs if basis is None else basis @ vecs)
 
 
 def estimate_strong_loadings(
@@ -110,12 +123,14 @@ def estimate_strong_loadings(
     Raises
     ------
     LoadingError
-        If r0 is outside [1, p-1] or the eigen-solver fails.
+        If r0 is outside [1, min(p, n) - 1] or the eigen-solver fails.
     """
-    if not 1 <= r0 < panel.p:
-        raise LoadingError(f"r0={r0} outside [1, {panel.p - 1}]")
-    pooled = pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))
-    vecs = _top_eigenvectors(pooled, r0, "strong loadings")
+    m = min(panel.p, panel.n)
+    if not 1 <= r0 < m:
+        raise LoadingError(f"r0={r0} outside [1, {m - 1}]")
+    u, small = reduced_panel(panel)
+    pooled = pooled_matrix_from_covs(lag_autocov_sequence(small, k0))
+    vecs = _top_eigenvectors(pooled, r0, "strong loadings", u)
     return LoadingMatrix(matrix=vecs, kind="strong")
 
 
@@ -127,26 +142,35 @@ def estimate_weak_loadings(
     The panel is first projected onto the orthocomplement of the strong
     span (equivalently, each lag covariance S(k) becomes E S(k) E with
     E = I - Q Q^T), so the returned columns are orthogonal to every strong
-    column.
+    column.  For p > n the strong span must lie in the column space of the
+    centered panel, as that of ``estimate_strong_loadings`` does.
 
     Raises
     ------
     LoadingError
-        On a row-count mismatch or r outside [1, p - r0 - 1].
+        On a row-count mismatch, r outside [1, min(p, n) - r0 - 1], or, for
+        p > n, a strong span outside the column space of the centered panel.
     """
     p = panel.p
     if strong.p != p:
         raise LoadingError(f"strong loading has {strong.p} rows, panel has {p}")
-    if not 1 <= r < p - strong.r:
-        raise LoadingError(f"r={r} outside [1, {p - strong.r - 1}]")
-    covs = lag_autocov_sequence(panel, k0)
+    m = min(p, panel.n)
+    if not 1 <= r < m - strong.r:
+        raise LoadingError(f"r={r} outside [1, {m - strong.r - 1}]")
+    u, small = reduced_panel(panel)
+    covs = lag_autocov_sequence(small, k0)
     q = strong.matrix
     if strong.r > 0:
+        qs = q if u is None else u.T @ q
+        if u is not None and np.abs(q - u @ qs).max() > 1e-8:
+            raise LoadingError(
+                "strong loading leaves the column space of the centered panel"
+            )
         # E S(k) E with E = I - Q Q^T, one lag at a time as the pool sums them
-        covs = (s - q @ (q.T @ s) for s in covs)
-        covs = (s - (s @ q) @ q.T for s in covs)
+        covs = (s - qs @ (qs.T @ s) for s in covs)
+        covs = (s - (s @ qs) @ qs.T for s in covs)
     pooled = pooled_matrix_from_covs(covs)
-    vecs = _top_eigenvectors(pooled, r, "weak loadings")
+    vecs = _top_eigenvectors(pooled, r, "weak loadings", u)
     if strong.r > 0:
         overlap = np.abs(q.T @ vecs).max()
         if overlap > 1e-8:

@@ -12,6 +12,17 @@ small-sample correction).  Pooling the lags gives
 
 a symmetric positive semidefinite matrix whose leading eigenvectors carry
 the factor loading spaces.
+
+Every S(k) has rank at most min(p, n - 1).  When p > n the spectral work is
+therefore done in n dimensions: the thin QR of the centered p x n panel,
+X = U R with orthonormal U (p x n) and square R (n x n), gives
+
+    S(k) = U C(k) U^T,   C(k) = R[:, k:] R[:, :n-k]^T / n,
+
+so S(k) and C(k) share their singular values, and the eigenvectors of M
+are U times those of sum_k C(k) C(k)^T.  At most m - 1 = min(p, n) - 1
+loading directions are identified, so the loading estimators require
+r0 + r <= min(p, n) - 1.
 """
 
 from __future__ import annotations
@@ -255,6 +266,20 @@ def lag_autocov_sequence(panel: TimeSeriesPanel, k0: int) -> np.ndarray:
         stack[k] = (centered[:, k:] @ centered[:, : n - k].T) / n
     stack.setflags(write=False)
     return stack
+
+
+def reduced_panel(panel: TimeSeriesPanel) -> tuple[np.ndarray | None, TimeSeriesPanel]:
+    """``(U, panel of R)`` from the thin QR X = U R of the centered panel if p > n.
+
+    The lag covariances of the n x n panel R are the C(k) with
+    S(k) = U C(k) U^T.  For p <= n this returns ``(None, panel)`` and the
+    spectral work stays in p dimensions.
+    """
+    if panel.p <= panel.n:
+        return None, panel
+    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    u, r = np.linalg.qr(centered)
+    return u, TimeSeriesPanel(values=r)
 
 
 def pooled_matrix_from_covs(covs: Iterable[np.ndarray]) -> np.ndarray:

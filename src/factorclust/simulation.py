@@ -499,7 +499,8 @@ def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
         )
     if config.estimated_counts and selection is not None:
         r0_hat, r_hat = selection
-        if 1 <= r0_hat < panel.p and 1 <= r_hat < panel.p - r0_hat:
+        m = min(panel.p, panel.n)
+        if 1 <= r0_hat < m and 1 <= r_hat < m - r0_hat:
             out.update(
                 _evaluate_branch(
                     panel, truth, r0_hat, r_hat, config, spec.seed, suffix="_est"

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from factorclust import ScenarioSpec, generate_scenario
+import factorclust
+from factorclust import ScenarioSpec, TimeSeriesPanel, generate_scenario
 from factorclust.cli import main
 
 
@@ -98,6 +103,17 @@ class TestClusterCommand:
         for row in body:
             assert abs(sum(float(v) for v in row[1:]) - 1.0) < 1e-12
 
+    def test_counts_past_rank_bound_on_wide_panel(self, tmp_path, capsys):
+        # p = 30 > n = 12: r0 + r may reach min(p, n) - 1 = 11, not 12
+        rng = np.random.default_rng(3)
+        path = tmp_path / "wide.csv"
+        write_panel_csv(path, TimeSeriesPanel(values=rng.standard_normal((30, 12))))
+        code = main(["cluster", str(path), "--r0", "2", "--r", "10",
+                     "--k0", "2", "--out", str(tmp_path / "out")])
+        assert code != 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_LOADINGS: cluster:")
+
 
 class TestFactorCountCommand:
     def test_report_written(self, small_panel, tmp_path):
@@ -177,3 +193,13 @@ class TestExample1Command:
         for row in rows[1:]:
             lam3, analytic = float(row[3]), float(row[4])
             assert lam3 == pytest.approx(analytic, rel=1e-8)
+
+
+def test_module_entry_point_help():
+    src = str(Path(factorclust.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "factorclust", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "cluster" in done.stdout

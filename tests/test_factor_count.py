@@ -138,7 +138,7 @@ class TestSelection:
         with pytest.warns(UserWarning, match="smaller index"):
             r0, r = select_factor_counts(report)
         assert (r0, r) == (1, 2)
-        assert report.tie_break_applied
+        assert not report.tie_break_applied
 
     def test_with_selection_returns_copy(self):
         report = make_report([5.0, 1.1, 8.0, 1.0, 1.0])

@@ -14,7 +14,7 @@ from factorclust import (
     residualize,
 )
 
-from factorclust.panel import lag_autocov_sequence
+from factorclust.panel import lag_autocov_sequence, reduced_panel
 from oracles import lag_autocov_oracle, pooled_oracle, residualize_oracle
 
 
@@ -172,6 +172,27 @@ class TestPooledMatrix:
         panel = random_panel(3, 5)
         with pytest.raises(PanelError):
             pooled_matrix(panel, 5)
+
+
+class TestReducedPanel:
+    def test_tall_or_square_panel_returned_unchanged(self):
+        for p, n in ((4, 20), (6, 6)):
+            panel = random_panel(p, n)
+            u, small = reduced_panel(panel)
+            assert u is None and small is panel
+
+    def test_wide_panel_lags_lift_exactly(self):
+        # S(k) = U C(k) U^T with C(k) the lag covariance of the R panel
+        panel = random_panel(30, 12, seed=9)
+        u, small = reduced_panel(panel)
+        assert u.shape == (30, 12) and small.p == small.n == 12
+        np.testing.assert_allclose(u.T @ u, np.eye(12), atol=1e-14)
+        stack = lag_autocov_sequence(panel, 11)
+        small_stack = lag_autocov_sequence(small, 11)
+        for k in range(12):
+            np.testing.assert_allclose(
+                u @ small_stack[k] @ u.T, stack[k], atol=1e-14
+            )
 
 
 class TestResidualize:

@@ -1,0 +1,190 @@
+"""The p > n path: spectra and loadings computed in n dimensions.
+
+Every result is checked against a reference built in p dimensions, from
+the p x p lag covariances or the brute-force oracles.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from factorclust import (
+    FactorCountReport,
+    LoadingError,
+    LoadingMatrix,
+    TimeSeriesPanel,
+    cumulative_ratio_sequence,
+    estimate_strong_loadings,
+    estimate_weak_loadings,
+    projection,
+    select_factor_counts,
+    single_matrix_ratio_baseline,
+)
+from factorclust.factor_count import (
+    FactorCountError,
+    _local_maxima,
+    _ratios_from_weighted_sums,
+)
+from factorclust.panel import lag_autocov_sequence
+
+from oracles import jacobi_eigh, pooled_oracle
+
+P, N = 30, 12
+
+
+def wide_panel(seed=0, p=P, n=N, r0=2, r=3):
+    """Panel-wide factors plus block-local factors plus noise.
+
+    Both routes compute an eigenvalue to an absolute accuracy of about
+    eps times the largest, so the 1e-12 relative ratio checks need the
+    noise eigenvalues within some 1e7 of the largest, as here.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1, 1, (p, r0))
+    b = np.zeros((p, r))
+    block = p // (r + 1)
+    for j in range(r):
+        b[j * block:(j + 1) * block, j] = rng.uniform(0.5, 1.0, block)
+    x = rng.standard_normal((r0, n)) * np.array([[6.0], [4.0]])[:r0]
+    z = rng.standard_normal((r, n))
+    eps = rng.standard_normal((p, n)) * 0.5
+    return TimeSeriesPanel(values=a @ x + b @ z + eps)
+
+
+def selection_or_error(report):
+    try:
+        return select_factor_counts(report)
+    except FactorCountError as exc:
+        return str(exc)
+
+
+def top_projection(sym, r):
+    _, vecs = jacobi_eigh(sym)
+    return vecs[:, :r] @ vecs[:, :r].T
+
+
+def p_space_report(panel, k0, J0):
+    """Ratio report from SVDs of the p x p lag covariances."""
+    stack = lag_autocov_sequence(panel, k0)
+    eigs = np.array([np.linalg.svd(s, compute_uv=False) ** 2 for s in stack])
+    weights = 1.0 - np.arange(k0 + 1) / panel.n
+    ratios, truncated = _ratios_from_weighted_sums(weights @ eigs, J0)
+    return FactorCountReport(
+        ratios=ratios, truncated=truncated,
+        local_max_indices=_local_maxima(ratios, truncated), selected=None,
+        J0=J0, k0=k0, n=panel.n, per_lag_eigenvalues=eigs,
+    )
+
+
+class TestRatiosAgainstPSpace:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("J0", [None, P])
+    def test_matches_svds_of_p_by_p_lags(self, seed, J0):
+        panel = wide_panel(seed)
+        report = cumulative_ratio_sequence(panel, k0=3, J0=J0)
+        want = p_space_report(panel, 3, report.J0)
+
+        np.testing.assert_array_equal(report.truncated, want.truncated)
+        assert report.local_max_indices == want.local_max_indices
+        assert selection_or_error(report) == selection_or_error(want)
+        keep = ~want.truncated
+        np.testing.assert_allclose(report.ratios[keep], want.ratios[keep], rtol=1e-12)
+        np.testing.assert_array_equal(np.isinf(report.ratios), np.isinf(want.ratios))
+        eigs = want.per_lag_eigenvalues
+        assert report.per_lag_eigenvalues.shape == eigs.shape
+        assert np.all(report.per_lag_eigenvalues[:, N:] == 0.0)
+        np.testing.assert_allclose(
+            report.per_lag_eigenvalues[:, :N], eigs[:, :N],
+            rtol=1e-12, atol=1e-12 * eigs.max(),
+        )
+
+    def test_baseline_pads_with_exact_zeros(self):
+        panel = wide_panel(2)
+        report = single_matrix_ratio_baseline(panel, k0=3, J0=P)
+        eigvals = np.clip(np.linalg.eigvalsh(pooled_oracle(panel.values, 3))[::-1], 0, None)
+        ratios, truncated = _ratios_from_weighted_sums(eigvals, P)
+        np.testing.assert_array_equal(report.truncated, truncated)
+        assert report.local_max_indices == _local_maxima(ratios, truncated)
+        assert np.all(report.per_lag_eigenvalues[0, N:] == 0.0)
+        keep = ~truncated
+        np.testing.assert_allclose(report.ratios[keep], ratios[keep], rtol=1e-10)
+
+
+class TestLoadingsAgainstOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_projections_match_jacobi_oracle(self, seed):
+        panel = wide_panel(seed)
+        k0, r0, r = 2, 2, 3
+        strong = estimate_strong_loadings(panel, k0=k0, r0=r0)
+        weak = estimate_weak_loadings(panel, strong, k0=k0, r=r)
+
+        want_strong = top_projection(pooled_oracle(panel.values, k0), r0)
+        np.testing.assert_allclose(projection(strong), want_strong, atol=1e-10)
+        q = strong.matrix
+        projected = panel.values - q @ (q.T @ panel.values)
+        want_weak = top_projection(pooled_oracle(projected, k0), r)
+        np.testing.assert_allclose(projection(weak), want_weak, atol=1e-10)
+
+        np.testing.assert_allclose(q.T @ q, np.eye(r0), atol=1e-12)
+        np.testing.assert_allclose(weak.matrix.T @ weak.matrix, np.eye(r), atol=1e-12)
+        assert np.abs(q.T @ weak.matrix).max() < 1e-8
+
+
+def assert_orthonormal_finite(loading):
+    assert np.isfinite(loading.matrix).all()
+    np.testing.assert_allclose(
+        loading.matrix.T @ loading.matrix, np.eye(loading.r), atol=1e-10
+    )
+
+
+class TestEdgeCases:
+    def test_constant_and_duplicate_series(self):
+        values = wide_panel(5).values.copy()
+        values[0] = 3.0
+        values[7] = values[8]
+        panel = TimeSeriesPanel(values=values)
+        report = cumulative_ratio_sequence(panel, k0=3, J0=P)
+        assert np.isfinite(report.per_lag_eigenvalues).all()
+        strong = estimate_strong_loadings(panel, k0=3, r0=2)
+        weak = estimate_weak_loadings(panel, strong, k0=3, r=3)
+        assert_orthonormal_finite(strong)
+        assert_orthonormal_finite(weak)
+        # a constant series has zero rows in both loadings
+        assert np.abs(strong.matrix[0]).max() < 1e-10
+        assert np.abs(weak.matrix[0]).max() < 1e-10
+        np.testing.assert_allclose(strong.matrix[7], strong.matrix[8], atol=1e-10)
+
+    def test_k0_at_n_minus_one(self):
+        panel = wide_panel(6)
+        report = cumulative_ratio_sequence(panel, k0=N - 1, J0=P)
+        assert report.per_lag_eigenvalues.shape == (N, P)
+        assert np.isfinite(report.per_lag_eigenvalues).all()
+        strong = estimate_strong_loadings(panel, k0=N - 1, r0=2)
+        weak = estimate_weak_loadings(panel, strong, k0=N - 1, r=3)
+        assert_orthonormal_finite(strong)
+        assert_orthonormal_finite(weak)
+        assert np.abs(strong.matrix.T @ weak.matrix).max() < 1e-8
+
+    def test_rank_bound(self):
+        panel = wide_panel(7)
+        m = min(P, N)
+        strong = estimate_strong_loadings(panel, k0=2, r0=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weak = estimate_weak_loadings(panel, strong, k0=2, r=m - 3)
+        assert strong.r + weak.r == m - 1
+        assert_orthonormal_finite(weak)
+        assert np.abs(strong.matrix.T @ weak.matrix).max() < 1e-8
+        with pytest.raises(LoadingError, match=r"outside \[1, 9\]"):
+            estimate_weak_loadings(panel, strong, k0=2, r=m - 2)
+        estimate_strong_loadings(panel, k0=2, r0=m - 1)
+        with pytest.raises(LoadingError, match=r"outside \[1, 11\]"):
+            estimate_strong_loadings(panel, k0=2, r0=m)
+
+    def test_strong_span_outside_the_panel_rejected(self):
+        panel = wide_panel(8)
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((P, 2)))
+        with pytest.raises(LoadingError, match="column space"):
+            estimate_weak_loadings(panel, LoadingMatrix(q, kind="strong"), k0=2, r=3)
