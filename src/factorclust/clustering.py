@@ -11,6 +11,20 @@ recovers the clusters.  An upper bound d_hat for the number of clusters is
 the count of eigenvalues of |B B^T| (entry-wise absolute values) exceeding
 1 - 1/log(n); the within-cluster sum of squares curve over d = 1..d_hat
 feeds an elbow rule, which is advisory only and can be overridden.
+
+K-means works from the squared row norms sq[i] = ||x_i||^2, computed once
+per call.  Seeding reads point-to-point distances off one Gram matrix
+G = X X^T,
+
+    ||x_i - x_j||^2 = sq[i] + sq[j] - 2 G[i, j]   (clipped at 0),
+
+and the Lloyd loop takes point-to-center distances the same way.  With
+the centers c_c the means of their n_c members, the within-cluster sum of
+squares is
+
+    WCSS = sum_i ||x_i - c_label(i)||^2 = sum_i sq[i] - sum_c n_c ||c_c||^2,
+
+clipped at 0, so no m x q difference array is formed per iteration.
 """
 
 from __future__ import annotations
@@ -153,41 +167,35 @@ class KMeansResult:
     wcss_trace: list[float]  # per-iteration values of the winning restart
 
 
-def _wcss(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.sum((points - centers[labels]) ** 2))
-
-
-def _greedy_spread_init(points: np.ndarray, d: int, first: int) -> np.ndarray:
-    """First center given, remaining centers maximize distance to the chosen set."""
-    m = points.shape[0]
-    centers = np.empty((d, points.shape[1]))
-    centers[0] = points[first]
-    dist = np.sum((points - centers[0]) ** 2, axis=1)
-    for t in range(1, d):
-        nxt = int(np.argmax(dist))
-        centers[t] = points[nxt]
-        dist = np.minimum(dist, np.sum((points - centers[t]) ** 2, axis=1))
-    return centers
-
-
-def _sampled_spread_init(
-    points: np.ndarray, d: int, first: int, rng: np.random.Generator
+def _spread_init(
+    sq: np.ndarray,
+    gram: np.ndarray,
+    d: int,
+    first: int,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """First center given, remaining centers sampled with probability
-    proportional to the squared distance to the chosen set."""
-    m = points.shape[0]
-    centers = np.empty((d, points.shape[1]))
-    centers[0] = points[first]
-    dist = np.sum((points - centers[0]) ** 2, axis=1)
-    for t in range(1, d):
-        total = dist.sum()
-        if total <= 0.0:
-            nxt = int(rng.integers(m))
+    """Indices of d spread-out points, the first one given.
+
+    Each further point is the one farthest from the chosen set when ``rng``
+    is None, otherwise a draw with probability proportional to the squared
+    distance to the chosen set.  Distances come from the cached norms and
+    Gram matrix, so each chosen point costs O(m).
+    """
+    m = sq.shape[0]
+    chosen = [first]
+    dist = np.maximum(sq + sq[first] - 2.0 * gram[first], 0.0)
+    for _ in range(1, d):
+        if rng is None:
+            nxt = int(np.argmax(dist))
         else:
-            nxt = int(rng.choice(m, p=dist / total))
-        centers[t] = points[nxt]
-        dist = np.minimum(dist, np.sum((points - centers[t]) ** 2, axis=1))
-    return centers
+            total = dist.sum()
+            if total <= 0.0:
+                nxt = int(rng.integers(m))
+            else:
+                nxt = int(rng.choice(m, p=dist / total))
+        chosen.append(nxt)
+        dist = np.minimum(dist, np.maximum(sq + sq[nxt] - 2.0 * gram[nxt], 0.0))
+    return np.array(chosen)
 
 
 # below this many d-point subsets, try them all instead of restarting
@@ -195,7 +203,7 @@ EXHAUSTIVE_INIT_LIMIT = 256
 
 
 def _candidate_inits(
-    points: np.ndarray, d: int, restarts: int, seed: int
+    points: np.ndarray, sq: np.ndarray, d: int, restarts: int, seed: int
 ) -> list[np.ndarray]:
     """Initial center sets for the restart loop.
 
@@ -207,31 +215,33 @@ def _candidate_inits(
     m = points.shape[0]
     if math.comb(m, d) <= max(restarts, EXHAUSTIVE_INIT_LIMIT):
         return [points[list(combo)] for combo in combinations(range(m), d)]
+    gram = points @ points.T
     root = np.random.SeedSequence(int(seed) % 2**63)
     children = root.spawn(restarts)
     rng = np.random.default_rng(children[0])
     order = rng.permutation(m)
-    inits = [_greedy_spread_init(points, d, int(order[0]))]
+    inits = [points[_spread_init(sq, gram, d, int(order[0]))]]
     for i in range(1, restarts):
         child_rng = np.random.default_rng(children[i])
         inits.append(
-            _sampled_spread_init(points, d, int(order[i % m]), child_rng)
+            points[_spread_init(sq, gram, d, int(order[i % m]), child_rng)]
         )
     return inits
 
 
 def _lloyd(
-    points: np.ndarray, centers: np.ndarray, max_iter: int
+    points: np.ndarray, sq: np.ndarray, centers: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
     """Lloyd iterations with empty-cluster repair; stops when labels settle."""
     m = points.shape[0]
     d = centers.shape[0]
+    sq_total = float(sq.sum())
     centers = centers.copy()
     labels = np.full(m, -1, dtype=int)
     trace: list[float] = []
     for it in range(max_iter):
         d2 = (
-            np.sum(points**2, axis=1)[:, None]
+            sq[:, None]
             - 2.0 * points @ centers.T
             + np.sum(centers**2, axis=1)[None, :]
         )
@@ -250,12 +260,14 @@ def _lloyd(
             centers[c] = points[far]
             new_labels[far] = c
         if np.array_equal(new_labels, labels):
-            trace.append(_wcss(points, centers, labels))
+            trace.append(trace[-1])
             return labels, centers, trace[-1], it + 1, trace
         labels = new_labels
-        for c in range(d):
-            centers[c] = points[labels == c].mean(axis=0)
-        trace.append(_wcss(points, centers, labels))
+        onehot = (labels[:, None] == np.arange(d)).astype(float)
+        centers = (onehot.T @ points) / counts[:, None]
+        # fsum: the value must not depend on how the clusters are numbered
+        explained = math.fsum(counts * np.sum(centers**2, axis=1))
+        trace.append(max(sq_total - explained, 0.0))
     return labels, centers, trace[-1], max_iter, trace
 
 
@@ -279,7 +291,7 @@ def kmeans(
     Raises
     ------
     ClusteringError
-        If d is outside [1, m].
+        If d is outside [1, m], or ``restarts`` or ``max_iter`` is below 1.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -287,6 +299,11 @@ def kmeans(
     m = pts.shape[0]
     if not 1 <= d <= m:
         raise ClusteringError(f"d={d} outside [1, {m}]")
+    if restarts < 1:
+        raise ClusteringError(f"restarts={restarts} must be at least 1")
+    if max_iter < 1:
+        raise ClusteringError(f"max_iter={max_iter} must be at least 1")
+    sq = np.sum(pts**2, axis=1)
     best: KMeansResult | None = None
     inits: list[np.ndarray] = []
     if warm_centers is not None:
@@ -296,9 +313,9 @@ def kmeans(
                 f"warm_centers shape {warm.shape} does not match (d, q)=({d}, {pts.shape[1]})"
             )
         inits.append(warm)
-    inits.extend(_candidate_inits(pts, d, restarts, seed))
+    inits.extend(_candidate_inits(pts, sq, d, restarts, seed))
     for init in inits:
-        labels, centers, wcss, n_iter, trace = _lloyd(pts, init, max_iter)
+        labels, centers, wcss, n_iter, trace = _lloyd(pts, sq, init, max_iter)
         if best is None or wcss < best.wcss:
             best = KMeansResult(
                 assignments=labels,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -134,6 +135,24 @@ def _parse_cell(cell: str, row: int, col: int, col_name: str | None = None) -> f
     return value
 
 
+def _parse_row(
+    cells: list[str], row: int, first_col: int, col_names: Iterable[str]
+) -> np.ndarray:
+    """One CSV row as floats, each cell read by ``float()``.
+
+    The per-cell parser runs only to locate an error: a cell ``float()``
+    rejects, or the first non-finite value.
+    """
+    try:
+        values = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        for j, (cell, name) in enumerate(zip(cells, col_names)):
+            _parse_cell(cell.strip(), row, first_col + j, name)
+    return values
+
+
 def load_panel(
     source: str | Path | IO[str] | IO[bytes],
     orientation: str = "rows-as-time",
@@ -155,6 +174,10 @@ def load_panel(
     labels : dict, optional
         Mapping series_id -> category; attached where ids match.
 
+    Rows are streamed: each one is turned into floats as it is read, so
+    the cell strings of the whole file are never held at once.  Blank and
+    whitespace-only rows are skipped and do not count in row numbers.
+
     Raises
     ------
     PanelError
@@ -164,42 +187,42 @@ def load_panel(
     if orientation not in ("rows-as-time", "rows-as-series"):
         raise PanelError(f"unknown orientation {orientation!r}")
     with _open_text(source) as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
-    if not rows:
-        raise PanelError("empty CSV input")
-
-    if orientation == "rows-as-time":
-        header = [c.strip() for c in rows[0]]
-        p = len(header)
-        data_rows = rows[1:]
-        if len(data_rows) < 2:
-            raise PanelError(f"panel needs at least 2 time points, got {len(data_rows)}")
-        block = np.empty((len(data_rows), p))
-        for i, row in enumerate(data_rows):
-            if len(row) != p:
-                raise PanelError(
-                    f"ragged row {i + 2}: expected {p} cells, got {len(row)}"
+        rows = (r for r in csv.reader(fh) if r and any(c.strip() for c in r))
+        first = next(rows, None)
+        if first is None:
+            raise PanelError("empty CSV input")
+        block: list[np.ndarray] = []
+        if orientation == "rows-as-time":
+            header = [c.strip() for c in first]
+            p = len(header)
+            # too few time points is reported before any cell is parsed
+            head = list(itertools.islice(rows, 2))
+            if len(head) < 2:
+                raise PanelError(f"panel needs at least 2 time points, got {len(head)}")
+            for i, row in enumerate(itertools.chain(head, rows)):
+                if len(row) != p:
+                    raise PanelError(
+                        f"ragged row {i + 2}: expected {p} cells, got {len(row)}"
+                    )
+                block.append(_parse_row(row, i + 2, 1, header))
+            values = np.array(block).T
+            ids = tuple(header)
+        else:
+            ids_list: list[str] = []
+            width = len(first)
+            if width < 3:
+                raise PanelError(f"panel needs at least 2 time points, got {width - 1}")
+            for i, row in enumerate(itertools.chain([first], rows)):
+                if len(row) != width:
+                    raise PanelError(
+                        f"ragged row {i + 1}: expected {width} cells, got {len(row)}"
+                    )
+                ids_list.append(row[0].strip())
+                block.append(
+                    _parse_row(row[1:], i + 1, 2, itertools.repeat(ids_list[-1]))
                 )
-            for j, cell in enumerate(row):
-                block[i, j] = _parse_cell(cell.strip(), i + 2, j + 1, header[j])
-        values = block.T
-        ids = tuple(header)
-    else:
-        ids_list: list[str] = []
-        width = len(rows[0])
-        if width < 3:
-            raise PanelError(f"panel needs at least 2 time points, got {width - 1}")
-        block = np.empty((len(rows), width - 1))
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise PanelError(
-                    f"ragged row {i + 1}: expected {width} cells, got {len(row)}"
-                )
-            ids_list.append(row[0].strip())
-            for j, cell in enumerate(row[1:]):
-                block[i, j] = _parse_cell(cell.strip(), i + 1, j + 2, ids_list[-1])
-        values = block
-        ids = tuple(ids_list)
+            values = np.array(block)
+            ids = tuple(ids_list)
 
     if values.shape[0] < 2:
         raise PanelError(f"panel needs at least 2 series, got {values.shape[0]}")

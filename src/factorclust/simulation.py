@@ -601,13 +601,21 @@ def read_scenario_config(path: str | Path) -> ScenarioSpec:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key in _SPEC_FIELDS:
-            kwargs[key] = _SPEC_FIELDS[key](value)
+            try:
+                kwargs[key] = _SPEC_FIELDS[key](value)
+            except ValueError:
+                raise SimulationError(
+                    f"{path}:{lineno}: {key}: invalid value {value!r}"
+                ) from None
         elif key == "shuffle":
             if value.lower() not in ("true", "false"):
                 raise SimulationError(f"{path}:{lineno}: shuffle must be true|false")
             kwargs[key] = value.lower() == "true"
         elif key in ("ar_range", "ma_range", "factor_sd_range", "loading_range"):
-            parts = [float(v) for v in value.split(",")]
+            try:
+                parts = [float(v) for v in value.split(",")]
+            except ValueError:
+                parts = []
             if len(parts) != 2:
                 raise SimulationError(f"{path}:{lineno}: {key} needs two floats")
             kwargs[key] = (parts[0], parts[1])

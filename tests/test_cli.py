@@ -115,6 +115,16 @@ class TestClusterCommand:
         assert len(lines) == 1 and lines[0].startswith("E_LOADINGS: cluster:")
 
 
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_restarts_below_one(self, small_panel, tmp_path, capsys, restarts):
+        path, _, _ = small_panel
+        code = main(["cluster", str(path), "--r0", "1", "--r", "2", "--d", "3",
+                     "--restarts", restarts, "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"E_CLUSTERING: cluster: restarts={restarts} must be at least 1"]
+
+
 class TestFactorCountCommand:
     def test_report_written(self, small_panel, tmp_path):
         path, _, _ = small_panel
@@ -175,6 +185,15 @@ class TestSimulateCommand:
                      "--out", str(tmp_path)])
         assert code != 0
         assert "E_USAGE" in capsys.readouterr().err
+
+    def test_bad_number_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n=300\nd=abc\n")
+        code = main(["simulate", "--config", str(cfg), "--reps", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"E_CONFIG: simulate: {cfg}:2: d: invalid value 'abc'"]
 
     def test_needs_config_or_scenario(self, tmp_path, capsys):
         code = main(["simulate", "--reps", "1", "--out", str(tmp_path)])

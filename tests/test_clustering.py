@@ -194,6 +194,14 @@ class TestKMeans:
         with pytest.raises(ClusteringError, match="d="):
             kmeans(pts, d=4)
 
+    def test_restarts_and_max_iter_below_one_rejected(self):
+        pts = np.random.default_rng(9).standard_normal((40, 3))
+        for restarts in (0, -2):
+            with pytest.raises(ClusteringError, match=f"restarts={restarts}"):
+                kmeans(pts, d=3, restarts=restarts)
+        with pytest.raises(ClusteringError, match="max_iter=0"):
+            kmeans(pts, d=3, max_iter=0)
+
     @pytest.mark.filterwarnings("error")
     def test_duplicate_heavy_points_repair_cleanly(self):
         # heavy duplication forces empty-cluster repair; stealing a sole
@@ -222,6 +230,66 @@ class TestKMeans:
             assert all(
                 values[i + 1] <= values[i] + 1e-9 for i in range(len(values) - 1)
             )
+
+
+def _first_seen_labels(assignments) -> str:
+    """Partition as a string, clusters numbered by first appearance."""
+    seen: dict[int, int] = {}
+    return "".join(str(seen.setdefault(int(a), len(seen))) for a in assignments)
+
+
+# wcss_curve(sim, 8, seed=3) on the similarity matrix of
+# ScenarioSpec(n=300, d=4, p1=20, p_extra=20, seed=5) with the true counts
+# (81 retained series), recorded with the per-cluster mean update that
+# the one-hot matmul update replaced
+PINNED_CURVE = {
+    1: ("0" * 81, 460.36424032650393),
+    2: ("000000101000000000000000010000000010000000011000000011001010011110000001101000100",
+        349.38219467446874),
+    3: ("011110212110111111110001020111110121100111022111001122102120022221101112212111210",
+        256.5019732528969),
+    4: ("011120323220111121120002030222220232100112033222002233103230033332101213313111320",
+        201.87138353237685),
+    5: ("011123434233111121120003040332320343100113044223002344104340044443101214414111420",
+        170.88674482591753),
+    6: ("012134545344121231130004050443430454100214055334003455205450055554201325515212530",
+        147.9045387821211),
+    7: ("012130456350121231130005040555530565100215046335003544206560046465201326616212650",
+        128.97736146488896),
+    8: ("012134546744121271170004050337370463100214056773007355206460056564201726636212630",
+        110.2395082260008),
+}
+
+
+class TestPinnedCurve:
+    @pytest.fixture(scope="class")
+    def curve_and_points(self):
+        spec = ScenarioSpec(n=300, d=4, p1=20, p_extra=20, seed=5)
+        panel, _ = generate_scenario(spec)
+        result = cluster_pipeline(
+            panel, counts=(spec.r0, spec.r_per_cluster * spec.d), seed=0
+        )
+        return wcss_curve(result.similarity, 8, seed=3), result.similarity
+
+    def test_partitions(self, curve_and_points):
+        curve, _ = curve_and_points
+        got = {d: _first_seen_labels(fit.assignments) for d, fit in curve.items()}
+        assert got == {d: labels for d, (labels, _) in PINNED_CURVE.items()}
+        for d, (_, wcss) in PINNED_CURVE.items():
+            assert curve[d].wcss == pytest.approx(wcss, rel=1e-12)
+
+    def test_wcss_is_direct_sum_of_squares(self, curve_and_points):
+        curve, pts = curve_and_points
+        for fit in curve.values():
+            direct = float(np.sum((pts - fit.centers[fit.assignments]) ** 2))
+            assert fit.wcss == pytest.approx(direct, rel=1e-12)
+
+    def test_traces_never_increase(self, curve_and_points):
+        curve, _ = curve_and_points
+        for fit in curve.values():
+            trace = np.array(fit.wcss_trace)
+            assert trace[-1] == fit.wcss
+            assert np.all(np.diff(trace) <= 1e-9 * max(1.0, trace[0]))
 
 
 class TestElbow:

@@ -104,6 +104,98 @@ class TestLoadPanel:
         assert panel.labels == ("fin", "tech")
 
 
+def _csv_text(cells_by_row, pad="", blank_every=0):
+    """Join rows of cell strings, padding each cell and inserting blank and
+    whitespace-only lines after every ``blank_every``-th row."""
+    lines = []
+    for i, row in enumerate(cells_by_row):
+        lines.append(",".join(f"{pad}{c}{pad}" for c in row))
+        if blank_every and i % blank_every == 0:
+            lines.extend(["", "  \t ", " , ,"])
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadPanelContract:
+    """Ingest equals a per-cell ``float()`` parse and keeps every error text."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("fmt", ["%.6g", "%.17g"])
+    @pytest.mark.parametrize("pad", ["", "  "])
+    @pytest.mark.parametrize("blank_every", [0, 3])
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_rows_as_time_matches_float_reference(
+        self, seed, fmt, pad, blank_every, as_bytes
+    ):
+        rng = np.random.default_rng(seed)
+        p, n = int(rng.integers(2, 9)), int(rng.integers(2, 30))
+        data = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-5, 6, (n, p))
+        cells = [[fmt % v for v in row] for row in data]
+        ids = [f"s{j}" for j in range(p)]
+        text = _csv_text([ids] + cells, pad=pad, blank_every=blank_every)
+        source = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        panel = load_panel(source)
+        want = np.array([[float(c) for c in row] for row in cells]).T
+        np.testing.assert_array_equal(panel.values, want)
+        assert panel.series_ids == tuple(ids)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("fmt", ["%.6g", "%.17g"])
+    @pytest.mark.parametrize("pad", ["", " "])
+    @pytest.mark.parametrize("blank_every", [0, 2])
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_rows_as_series_matches_float_reference(
+        self, seed, fmt, pad, blank_every, as_bytes
+    ):
+        rng = np.random.default_rng(100 + seed)
+        p, n = int(rng.integers(2, 9)), int(rng.integers(2, 30))
+        data = rng.standard_normal((p, n)) * 10.0 ** rng.integers(-5, 6, (p, n))
+        cells = [[f"id{i}"] + [fmt % v for v in row] for i, row in enumerate(data)]
+        text = _csv_text(cells, pad=pad, blank_every=blank_every)
+        source = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        panel = load_panel(source, orientation="rows-as-series")
+        want = np.array([[float(c) for c in row[1:]] for row in cells])
+        np.testing.assert_array_equal(panel.values, want)
+        assert panel.series_ids == tuple(f"id{i}" for i in range(p))
+
+    @pytest.mark.parametrize(
+        "text, orientation, message",
+        [
+            ("a,b\n1,0\n\n2,1,7\n", "rows-as-time",
+             "ragged row 3: expected 2 cells, got 3"),
+            ("a,1,2\n\nb,1\n", "rows-as-series",
+             "ragged row 2: expected 3 cells, got 2"),
+            ("a,b\n1,0\n2, x1 \n", "rows-as-time",
+             "non-numeric cell 'x1' at row 3, column 2 (b)"),
+            ("a,1,2\nb,1,zz\n", "rows-as-series",
+             "non-numeric cell 'zz' at row 2, column 3 (b)"),
+            ("a,b\n1,0\n \n2,NaN\n", "rows-as-time",
+             "non-finite cell 'NaN' at row 3, column 2 (b)"),
+            ("a,b\n1,-inf\n2,x\n", "rows-as-time",
+             "non-finite cell '-inf' at row 2, column 2 (b)"),
+            ("a,b\n1,y\n2,nan\n", "rows-as-time",
+             "non-numeric cell 'y' at row 2, column 2 (b)"),
+            ("a,1,inf\nb,1,2\n", "rows-as-series",
+             "non-finite cell 'inf' at row 1, column 3 (a)"),
+            ("a,b\n1,0\n2,1,7,8\n3,nan\n", "rows-as-time",
+             "ragged row 3: expected 2 cells, got 4"),
+            ("a\n1\n2\n", "rows-as-time", "panel needs at least 2 series, got 1"),
+            ("a,1,2\n", "rows-as-series", "panel needs at least 2 series, got 1"),
+            ("a,b\n1,0\n", "rows-as-time",
+             "panel needs at least 2 time points, got 1"),
+            ("a,b\n1,x,3\n", "rows-as-time",
+             "panel needs at least 2 time points, got 1"),
+            ("a,1\nb,2\n", "rows-as-series",
+             "panel needs at least 2 time points, got 1"),
+            ("", "rows-as-time", "empty CSV input"),
+            ("\n \n,\n", "rows-as-series", "empty CSV input"),
+        ],
+    )
+    def test_error_text(self, text, orientation, message):
+        with pytest.raises(PanelError) as info:
+            load_panel(io.StringIO(text), orientation=orientation)
+        assert str(info.value) == message
+
+
 class TestLagAutocov:
     def test_constant_panel_is_zero(self):
         panel = TimeSeriesPanel(values=np.full((3, 10), 5.0))

@@ -55,6 +55,19 @@ class TestScenarioSpec:
         with pytest.raises(SimulationError, match="unknown key"):
             read_scenario_config(cfg)
 
+    def test_config_bad_number(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        for text, message in [
+            ("n=abc\n", "bad.cfg:1: n: invalid value 'abc'"),
+            ("# c\nn=300\nnoise_innovation_var=1e\n",
+             "bad.cfg:3: noise_innovation_var: invalid value '1e'"),
+            ("ar_range=0.5,x\n", "bad.cfg:1: ar_range needs two floats"),
+        ]:
+            cfg.write_text(text)
+            with pytest.raises(SimulationError) as info:
+                read_scenario_config(cfg)
+            assert str(info.value) == f"{tmp_path}/{message}"
+
     def test_config_bad_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n 300\n")
