@@ -26,23 +26,23 @@ spec = ScenarioSpec(n=400, d=4, p1=20, p_extra=8, r0=1, r_per_cluster=2, seed=4)
 panel, truth = generate_scenario(spec)
 sectors = ["unaffiliated", "energy", "finance", "health", "tech"]
 
-workdir = Path(tempfile.mkdtemp())
-panel_path = workdir / "panel.csv"
-labels_path = workdir / "labels.csv"
 ids = [f"s{i:03d}" for i in range(panel.p)]
-with open(panel_path, "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(ids)
-    for t in range(panel.n):
-        writer.writerow([f"{v:.12g}" for v in panel.values[:, t]])
-with open(labels_path, "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(["series_id", "label"])
-    for i, sid in enumerate(ids):
-        writer.writerow([sid, sectors[truth.membership[i]]])
-print(f"wrote {panel_path} and {labels_path}")
+with tempfile.TemporaryDirectory() as workdir:
+    panel_path = Path(workdir) / "panel.csv"
+    labels_path = Path(workdir) / "labels.csv"
+    with open(panel_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ids)
+        for t in range(panel.n):
+            writer.writerow([f"{v:.12g}" for v in panel.values[:, t]])
+    with open(labels_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["series_id", "label"])
+        for i, sid in enumerate(ids):
+            writer.writerow([sid, sectors[truth.membership[i]]])
+    print(f"wrote {panel_path} and {labels_path}")
+    loaded = load_panel(panel_path, labels=load_labels(labels_path))
 
-loaded = load_panel(panel_path, labels=load_labels(labels_path))
 result = cluster_pipeline(loaded, k0=5, seed=0)
 print(f"clustered into d = {result.d_used} groups "
       f"(upper bound {result.d_hat}); "

@@ -54,7 +54,6 @@ from .panel import (
     load_labels,
     load_panel,
     pooled_matrix,
-    residualize,
 )
 from .simulation import (
     Example1Population,
@@ -79,7 +78,7 @@ __all__ = [
     "__version__",
     # panel
     "PanelError", "TimeSeriesPanel", "load_panel", "load_labels",
-    "lag_autocov", "pooled_matrix", "residualize",
+    "lag_autocov", "pooled_matrix",
     # factor counting
     "FactorCountError", "FactorCountReport", "cumulative_ratio_sequence",
     "select_factor_counts", "single_matrix_ratio_baseline",

@@ -42,7 +42,7 @@ from .factor_count import (
     select_factor_counts,  # noqa: F401 - perfbench/tracer.py wraps this binding
 )
 from .loadings import LoadingMatrix, estimate_strong_loadings, estimate_weak_loadings
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, lag_stack
 
 __all__ = [
     "ClusteringError",
@@ -498,6 +498,8 @@ def cluster_pipeline(
 ) -> ClusteringResult:
     """Run the whole pipeline: counts, loadings, detection, K-means.
 
+    S(0..k0) is built once (``panel.lag_stack``) for every spectral step.
+
     Parameters
     ----------
     counts : (r0, r), optional
@@ -512,8 +514,9 @@ def cluster_pipeline(
     p, n = panel.p, panel.n
     factor_report: FactorCountReport | None = None
     counts_source = "override"
+    stack = lag_stack(panel, k0)
     if counts is None:
-        factor_report = cumulative_ratio_sequence(panel, k0=k0, J0=J0).with_selection()
+        factor_report = cumulative_ratio_sequence(stack, k0=k0, J0=J0).with_selection()
         r0, total = factor_report.selected
         r = total - r0
         counts_source = "estimated"
@@ -524,8 +527,8 @@ def cluster_pipeline(
     if r0 == 0:
         strong = LoadingMatrix(matrix=np.zeros((p, 0)), kind="strong")
     else:
-        strong = estimate_strong_loadings(panel, k0=k0, r0=r0)
-    weak = estimate_weak_loadings(panel, strong, k0=k0, r=r)
+        strong = estimate_strong_loadings(stack, k0=k0, r0=r0)
+    weak = estimate_weak_loadings(stack, strong, k0=k0, r=r)
 
     omega_value = omega_threshold(omega, r_hat=r, p=p)
     no_cluster = detect_no_cluster(weak, omega_value)

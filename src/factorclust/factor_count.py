@@ -28,12 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import (
-    TimeSeriesPanel,
-    lag_autocov_sequence,
-    pooled_matrix_from_covs,
-    reduced_panel,
-)
+from .panel import LagStack, TimeSeriesPanel, lag_stack, pooled_matrix_from_covs
+from .panel import lag_autocov_sequence  # noqa: F401 - perfbench/tracer.py wraps this binding
 
 __all__ = [
     "FactorCountError",
@@ -72,7 +68,7 @@ class FactorCountReport:
         Row k holds the descending eigenvalues of S(k) S(k)^T; for the
         single-matrix baseline a single row holds the eigenvalues of M.
         Entries past min(p, n) are exact zeros: for p > n the spectra are
-        computed in n dimensions (see ``panel.reduced_panel``).
+        computed in n dimensions (see ``panel.lag_stack``).
     method : {"cumulative", "pooled"}
     tie_break_applied : bool
         True when the two largest maxima were separated only by the
@@ -201,13 +197,13 @@ def _ratio_report(
 
 
 def cumulative_ratio_sequence(
-    panel: TimeSeriesPanel, k0: int = 5, J0: int | None = None
+    panel: TimeSeriesPanel | LagStack, k0: int = 5, J0: int | None = None
 ) -> FactorCountReport:
     """Lag-pooled eigenvalue-ratio sequence of a panel (selection empty).
 
     Parameters
     ----------
-    panel : TimeSeriesPanel
+    panel : TimeSeriesPanel, or its ``lag_stack`` built with the same k0
     k0 : int
         Largest lag pooled; small values (<= 5) work well since serial
         correlation concentrates at short lags.
@@ -221,13 +217,12 @@ def cumulative_ratio_sequence(
     """
     p, n = panel.p, panel.n
     J0 = _checked_j0(J0, p)
-    _, small = reduced_panel(panel)
-    covs = lag_autocov_sequence(small, k0)
+    covs = lag_stack(panel, k0).covs
     eigs = np.zeros((k0 + 1, p))
     try:
         for k, cov in enumerate(covs):
             # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
-            eigs[k, : small.p] = np.linalg.svd(cov, compute_uv=False) ** 2
+            eigs[k, : len(cov)] = np.linalg.svd(cov, compute_uv=False) ** 2
     except np.linalg.LinAlgError as exc:
         raise FactorCountError(f"eigen-solver failure at lag {k}: {exc}") from exc
     weights = 1.0 - np.arange(k0 + 1) / n
@@ -235,19 +230,19 @@ def cumulative_ratio_sequence(
 
 
 def single_matrix_ratio_baseline(
-    panel: TimeSeriesPanel, k0: int = 5, J0: int | None = None
+    panel: TimeSeriesPanel | LagStack, k0: int = 5, J0: int | None = None
 ) -> FactorCountReport:
     """Baseline: plain eigenvalue ratios of the pooled matrix M.
 
     Same selection rule as the cumulative method but with
-    R_j = lam_j(M) / lam_{j+1}(M).
+    R_j = lam_j(M) / lam_{j+1}(M).  ``panel`` may be the panel's
+    ``lag_stack`` built with the same k0.
     """
     J0 = _checked_j0(J0, panel.p)
-    _, small = reduced_panel(panel)
-    pooled = pooled_matrix_from_covs(lag_autocov_sequence(small, k0))
+    pooled = pooled_matrix_from_covs(lag_stack(panel, k0).covs)
     eigvals = np.zeros(panel.p)
     try:
-        eigvals[: small.p] = np.linalg.eigvalsh(pooled)[::-1]
+        eigvals[: len(pooled)] = np.linalg.eigvalsh(pooled)[::-1]
     except np.linalg.LinAlgError as exc:
         raise FactorCountError(f"eigen-solver failure on pooled matrix: {exc}") from exc
     eigvals = np.clip(eigvals, 0.0, None)

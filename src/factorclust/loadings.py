@@ -24,12 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .panel import (
-    TimeSeriesPanel,
-    lag_autocov_sequence,
-    pooled_matrix_from_covs,
-    reduced_panel,
-)
+from .panel import LagStack, TimeSeriesPanel, lag_stack, pooled_matrix_from_covs
+from .panel import lag_autocov_sequence  # noqa: F401 - perfbench/tracer.py wraps this binding
 
 __all__ = [
     "LoadingError",
@@ -75,9 +71,6 @@ class LoadingMatrix:
     def r(self) -> int:
         return self.matrix.shape[1]
 
-    def row_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.matrix, axis=1)
-
 
 def _orient_columns(vectors: np.ndarray) -> np.ndarray:
     """Fix eigenvector signs: largest-magnitude entry positive, ties by lowest index."""
@@ -116,9 +109,11 @@ def _top_eigenvectors(
 
 
 def estimate_strong_loadings(
-    panel: TimeSeriesPanel, k0: int = 5, r0: int = 1
+    panel: TimeSeriesPanel | LagStack, k0: int = 5, r0: int = 1
 ) -> LoadingMatrix:
     """Leading r0 eigenvectors of the pooled matrix M of the panel.
+
+    ``panel`` may be the panel's ``lag_stack`` built with the same k0.
 
     Raises
     ------
@@ -128,14 +123,14 @@ def estimate_strong_loadings(
     m = min(panel.p, panel.n)
     if not 1 <= r0 < m:
         raise LoadingError(f"r0={r0} outside [1, {m - 1}]")
-    u, small = reduced_panel(panel)
-    pooled = pooled_matrix_from_covs(lag_autocov_sequence(small, k0))
-    vecs = _top_eigenvectors(pooled, r0, "strong loadings", u)
+    stack = lag_stack(panel, k0)
+    pooled = pooled_matrix_from_covs(stack.covs)
+    vecs = _top_eigenvectors(pooled, r0, "strong loadings", stack.basis)
     return LoadingMatrix(matrix=vecs, kind="strong")
 
 
 def estimate_weak_loadings(
-    panel: TimeSeriesPanel, strong: LoadingMatrix, k0: int = 5, r: int = 1
+    panel: TimeSeriesPanel | LagStack, strong: LoadingMatrix, k0: int = 5, r: int = 1
 ) -> LoadingMatrix:
     """Leading r eigenvectors of the pooled matrix of the projected panel.
 
@@ -143,7 +138,8 @@ def estimate_weak_loadings(
     span (equivalently, each lag covariance S(k) becomes E S(k) E with
     E = I - Q Q^T), so the returned columns are orthogonal to every strong
     column.  For p > n the strong span must lie in the column space of the
-    centered panel, as that of ``estimate_strong_loadings`` does.
+    centered panel, as that of ``estimate_strong_loadings`` does.  ``panel``
+    may be the panel's ``lag_stack`` built with the same k0.
 
     Raises
     ------
@@ -157,8 +153,8 @@ def estimate_weak_loadings(
     m = min(p, panel.n)
     if not 1 <= r < m - strong.r:
         raise LoadingError(f"r={r} outside [1, {m - strong.r - 1}]")
-    u, small = reduced_panel(panel)
-    covs = lag_autocov_sequence(small, k0)
+    stack = lag_stack(panel, k0)
+    u, covs = stack.basis, stack.covs
     q = strong.matrix
     if strong.r > 0:
         qs = q if u is None else u.T @ q

@@ -1,4 +1,4 @@
-"""Panel data model, CSV ingestion, lagged autocovariances and projection.
+"""Panel data model, CSV ingestion and lagged autocovariances.
 
 A panel holds ``p`` observed series over ``n`` equally spaced time points.
 The sample lag-k autocovariance is
@@ -23,6 +23,9 @@ so S(k) and C(k) share their singular values, and the eigenvectors of M
 are U times those of sum_k C(k) C(k)^T.  At most m - 1 = min(p, n) - 1
 loading directions are identified, so the loading estimators require
 r0 + r <= min(p, n) - 1.
+
+``lag_stack`` builds S(0..k0), or C(0..k0) and U, once per panel; every
+spectral step accepts that ``LagStack`` in place of the panel.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -44,7 +48,6 @@ __all__ = [
     "load_labels",
     "lag_autocov",
     "pooled_matrix",
-    "residualize",
 ]
 
 
@@ -106,22 +109,26 @@ class TimeSeriesPanel:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def with_values(self, values: np.ndarray) -> "TimeSeriesPanel":
-        """Same ids/labels, new data matrix of identical shape."""
-        return replace(self, values=values)
 
-
-def _open_text(source: str | Path | IO[str] | IO[bytes]) -> IO[str]:
+@contextmanager
+def _open_text(source: str | Path | IO[str] | IO[bytes]) -> Iterator[IO[str]]:
+    """Text view of a CSV source; a caller's stream stays open, bytes decode as read."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", newline="")
-    if isinstance(source, io.TextIOBase):
-        return source
-    if hasattr(source, "read"):
+        with open(source, "r", newline="") as fh:
+            yield fh
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    elif isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
+        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield text
+        finally:
+            text.detach()  # closing the wrapper would close the caller's stream
+    elif hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    raise PanelError(f"unsupported CSV source type {type(source)!r}")
+        yield io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
+    else:
+        raise PanelError(f"unsupported CSV source type {type(source)!r}")
 
 
 def _parse_cell(cell: str, row: int, col: int, col_name: str | None = None) -> float:
@@ -305,6 +312,29 @@ def reduced_panel(panel: TimeSeriesPanel) -> tuple[np.ndarray | None, TimeSeries
     return u, TimeSeriesPanel(values=r)
 
 
+@dataclass(frozen=True)
+class LagStack:
+    """Read-only S(0..k0) of a p x n panel, or C(0..k0) and ``basis`` U if p > n."""
+
+    covs: np.ndarray
+    basis: np.ndarray | None
+    p: int
+    n: int
+
+
+def lag_stack(panel: TimeSeriesPanel | LagStack, k0: int) -> LagStack:
+    """The panel's ``LagStack`` up to lag k0; a given stack is returned as is.
+
+    Raises ``PanelError`` if k0 is outside [0, n - 1] or differs from a given stack's.
+    """
+    if isinstance(panel, LagStack):
+        if len(panel.covs) != k0 + 1:
+            raise PanelError(f"lag stack holds k0={len(panel.covs) - 1}, not {k0}")
+        return panel
+    basis, small = reduced_panel(panel)
+    return LagStack(lag_autocov_sequence(small, k0), basis, panel.p, panel.n)
+
+
 def pooled_matrix_from_covs(covs: Iterable[np.ndarray]) -> np.ndarray:
     """Pool M = sum_k S(k) S(k)^T of p x p lag covariances, a p x p array.
 
@@ -328,32 +358,3 @@ def pooled_matrix_from_covs(covs: Iterable[np.ndarray]) -> np.ndarray:
 def pooled_matrix(panel: TimeSeriesPanel, k0: int) -> np.ndarray:
     """M = sum_{k=0..k0} S(k) S(k)^T of the panel, a symmetric p x p array."""
     return pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))
-
-
-def residualize(panel: TimeSeriesPanel, loading) -> TimeSeriesPanel:
-    """Project every time point onto the orthocomplement of the loading span.
-
-    Each column y_t becomes (I - Q Q^T) y_t where Q is the loading matrix.
-    A zero-column loading leaves the panel unchanged.
-
-    Raises
-    ------
-    PanelError
-        If the loading row count differs from p or the columns are not
-        orthonormal (Gram deviates from the identity by more than 1e-8).
-    """
-    q = np.asarray(getattr(loading, "matrix", loading), dtype=float)
-    if q.ndim != 2:
-        raise PanelError(f"loading must be 2-d, got shape {q.shape}")
-    if q.shape[0] != panel.p:
-        raise PanelError(
-            f"loading has {q.shape[0]} rows, panel has {panel.p} series"
-        )
-    r = q.shape[1]
-    if r == 0:
-        return panel.with_values(panel.values.copy())
-    gram = q.T @ q
-    if np.abs(gram - np.eye(r)).max() > 1e-8:
-        raise PanelError("loading columns are not orthonormal within 1e-8")
-    projected = panel.values - q @ (q.T @ panel.values)
-    return panel.with_values(projected)

@@ -46,7 +46,7 @@ from .loadings import (
     oracle_weak_projection,
     projection,
 )
-from .panel import TimeSeriesPanel
+from .panel import LagStack, TimeSeriesPanel, lag_stack
 
 __all__ = [
     "SimulationError",
@@ -374,21 +374,24 @@ def generate_example1(
     return TimeSeriesPanel(values=values), pop
 
 
+# Thresholds scored per replication; clustering uses OMEGA_MAIN's detection.
+OMEGA_VARIANTS = ("p1", "p2", "p3")
+OMEGA_MAIN = "p2"
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """What to evaluate per replication and with which tuning values."""
 
     k0: int = 5
     J0: int | None = None
-    omega_variants: tuple[str, ...] = ("p1", "p2", "p3")
-    omega_main: str = "p2"
     known_counts: bool = True
     estimated_counts: bool = False
     include_baseline: bool = True
     evaluate_subspace: bool = True
     evaluate_clustering: bool = True
-    kmeans_restarts: int = 10
-    kmeans_max_iter: int = 300
 
 
 @dataclass
@@ -406,7 +409,7 @@ class MonteCarloResult:
 
 
 def _evaluate_branch(
-    panel: TimeSeriesPanel,
+    stack: LagStack,
     truth: ScenarioTruth,
     r0: int,
     r: int,
@@ -416,8 +419,8 @@ def _evaluate_branch(
 ) -> dict:
     """Subspace, detection and clustering metrics for given factor counts."""
     out: dict = {}
-    strong = estimate_strong_loadings(panel, k0=config.k0, r0=r0)
-    weak = estimate_weak_loadings(panel, strong, k0=config.k0, r=r)
+    strong = estimate_strong_loadings(stack, k0=config.k0, r0=r0)
+    weak = estimate_weak_loadings(stack, strong, k0=config.k0, r=r)
 
     if config.evaluate_subspace:
         gram = truth.A.T @ truth.A
@@ -431,28 +434,27 @@ def _evaluate_branch(
         out[f"weak_err_op{suffix}"] = op
         out[f"weak_err_fro{suffix}"] = fro
 
-    p = panel.p
-    for variant in config.omega_variants:
+    p = stack.p
+    detected = {}
+    for variant in OMEGA_VARIANTS:
         omega = omega_threshold(variant, r_hat=r, p=p)
-        j_hat = detect_no_cluster(weak, omega)
-        errs = detection_errors(j_hat, truth.J_true, p)
+        detected[variant] = detect_no_cluster(weak, omega)
+        errs = detection_errors(detected[variant], truth.J_true, p)
         out[f"e1_omega_{variant}{suffix}"] = errs.e1
         out[f"e2_omega_{variant}{suffix}"] = errs.e2
 
     if config.evaluate_clustering:
-        d_hat = cluster_upper_bound(weak, panel.n)
+        d_hat = cluster_upper_bound(weak, stack.n)
         d_true = int(truth.membership.max())
         out[f"d_hat{suffix}"] = d_hat
         out[f"d_hat_correct{suffix}"] = bool(d_hat == d_true)
-        omega = omega_threshold(config.omega_main, r_hat=r, p=p)
-        j_hat = detect_no_cluster(weak, omega)
-        retained = np.setdiff1d(np.arange(p), j_hat)
+        retained = np.setdiff1d(np.arange(p), detected[OMEGA_MAIN])
         if len(retained) >= 2:
             sim = similarity_matrix(weak.matrix[retained])
             d_used = min(max(d_hat, 1), len(retained))
             fit = kmeans(
-                sim, d_used, restarts=config.kmeans_restarts,
-                max_iter=config.kmeans_max_iter, seed=seed,
+                sim, d_used, restarts=KMEANS_RESTARTS,
+                max_iter=KMEANS_MAX_ITER, seed=seed,
             )
             truly_clustered = truth.membership[retained] > 0
             sel = np.flatnonzero(truly_clustered)
@@ -471,7 +473,8 @@ def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
     r0_true, r_true = truth.intended_counts
     out: dict = {}
 
-    report = cumulative_ratio_sequence(panel, k0=config.k0, J0=config.J0)
+    stack = lag_stack(panel, config.k0)
+    report = cumulative_ratio_sequence(stack, k0=config.k0, J0=config.J0)
     selection: tuple[int, int] | None = None
     try:
         r0_hat, r_hat = select_factor_counts(report)
@@ -484,7 +487,7 @@ def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
         out["count_selection_failed"] = True
 
     if config.include_baseline:
-        baseline = single_matrix_ratio_baseline(panel, k0=config.k0, J0=config.J0)
+        baseline = single_matrix_ratio_baseline(stack, k0=config.k0, J0=config.J0)
         try:
             b_r0, b_r = select_factor_counts(baseline)
             out["baseline_r0_correct"] = bool(b_r0 == r0_true)
@@ -495,7 +498,7 @@ def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
 
     if config.known_counts:
         out.update(
-            _evaluate_branch(panel, truth, r0_true, r_true, config, spec.seed)
+            _evaluate_branch(stack, truth, r0_true, r_true, config, spec.seed)
         )
     if config.estimated_counts and selection is not None:
         r0_hat, r_hat = selection
@@ -503,7 +506,7 @@ def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
         if 1 <= r0_hat < m and 1 <= r_hat < m - r0_hat:
             out.update(
                 _evaluate_branch(
-                    panel, truth, r0_hat, r_hat, config, spec.seed, suffix="_est"
+                    stack, truth, r0_hat, r_hat, config, spec.seed, suffix="_est"
                 )
             )
     return out
@@ -562,8 +565,8 @@ def run_monte_carlo(
         "failed": len(failures),
         "k0": config.k0,
         "J0": config.J0,
-        "omega_variants": list(config.omega_variants),
-        "omega_main": config.omega_main,
+        "omega_variants": list(OMEGA_VARIANTS),
+        "omega_main": OMEGA_MAIN,
         "scenario": {
             "n": spec.n, "d": spec.d, "p1": spec.p1, "p_extra": spec.p_extra,
             "r0": spec.r0, "r_per_cluster": spec.r_per_cluster,

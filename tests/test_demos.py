@@ -1,4 +1,5 @@
-"""Smoke test: the demos that read a CSV and run K-means exit cleanly."""
+"""Smoke test: the demos that read a CSV and run K-means exit cleanly and
+leave no temp files behind."""
 
 import os
 import subprocess
@@ -19,8 +20,11 @@ def test_demo_exits_zero(demo, tmp_path):
     src = str(Path(factorclust.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # demo 04 writes its CSVs to a temp dir
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env["TMPDIR"] = str(tmpdir)  # demo 04 writes its CSVs to a temp dir
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           capture_output=True, text=True, env=env, timeout=300,
                           cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+    assert list(tmpdir.iterdir()) == []  # no temp file or directory left behind

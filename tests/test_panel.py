@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from factorclust import (
-    LoadingMatrix,
     PanelError,
     TimeSeriesPanel,
     lag_autocov,
     load_labels,
     load_panel,
     pooled_matrix,
-    residualize,
 )
 
-from factorclust.panel import lag_autocov_sequence, reduced_panel
-from oracles import lag_autocov_oracle, pooled_oracle, residualize_oracle
+from factorclust.panel import lag_autocov_sequence, lag_stack, reduced_panel
+from oracles import lag_autocov_oracle, pooled_oracle
 
 
 def random_panel(p, n, seed=0):
@@ -102,6 +100,31 @@ class TestLoadPanel:
         assert mapping == {"a": "fin", "b": "tech"}
         panel = load_panel(io.StringIO("a,b\n1,0\n2,1"), labels=mapping)
         assert panel.labels == ("fin", "tech")
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    @pytest.mark.parametrize(
+        "orientation, text",
+        [
+            ("rows-as-time", "a,b,c\r\n1,0.5,2\r\n\n2,1,-3e-2\n4,4,4\n"),
+            ("rows-as-series", "a,1,2,3\r\nb,0,1,0\n\nc,5,.5,1e3\n"),
+        ],
+    )
+    def test_caller_stream_left_open(self, tmp_path, as_bytes, orientation, text):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode())
+        want = load_panel(path, orientation=orientation)
+        buf = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        got = load_panel(buf, orientation=orientation)
+        assert not buf.closed
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.series_ids == want.series_ids
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_labels_caller_stream_left_open(self, as_bytes):
+        text = "series_id,label\na,fin\nb,tech\n"
+        buf = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        assert load_labels(buf) == {"a": "fin", "b": "tech"}
+        assert not buf.closed
 
 
 def _csv_text(cells_by_row, pad="", blank_every=0):
@@ -287,54 +310,30 @@ class TestReducedPanel:
             )
 
 
-class TestResidualize:
-    def test_empty_loading_is_identity(self):
-        panel = random_panel(4, 12, seed=4)
-        out = residualize(panel, LoadingMatrix(np.zeros((4, 0)), kind="strong"))
-        np.testing.assert_array_equal(out.values, panel.values)
+class TestLagStack:
+    @pytest.mark.parametrize("p, n", [(4, 20), (30, 12)])
+    def test_holds_the_lag_covariances(self, p, n):
+        panel = random_panel(p, n, seed=3)
+        stack = lag_stack(panel, 3)
+        basis, small = reduced_panel(panel)
+        assert (stack.p, stack.n, len(stack.covs)) == (p, n, 4)
+        np.testing.assert_array_equal(stack.covs, lag_autocov_sequence(small, 3))
+        assert not stack.covs.flags.writeable
+        if basis is None:
+            assert stack.basis is None
+        else:
+            np.testing.assert_array_equal(stack.basis, basis)
 
-    def test_panel_in_span_annihilated(self):
-        rng = np.random.default_rng(5)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        coeffs = rng.standard_normal((2, 15))
-        panel = TimeSeriesPanel(values=q @ coeffs)
-        out = residualize(panel, LoadingMatrix(q, kind="strong"))
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-10)
+    def test_stack_returned_unchanged(self):
+        stack = lag_stack(random_panel(5, 30), 2)
+        assert lag_stack(stack, 2) is stack
 
-    def test_basis_vector_zeroes_row(self):
-        rng = np.random.default_rng(6)
-        panel = TimeSeriesPanel(values=rng.standard_normal((4, 10)))
-        q = np.zeros((4, 1))
-        q[0, 0] = 1.0
-        out = residualize(panel, LoadingMatrix(q, kind="strong"))
-        np.testing.assert_allclose(out.values[0], 0.0, atol=1e-12)
-        np.testing.assert_allclose(
-            out.values, residualize_oracle(panel.values, q), atol=1e-12
-        )
+    @pytest.mark.parametrize("k0", [0, 1, 3])
+    def test_other_k0_rejected(self, k0):
+        stack = lag_stack(random_panel(5, 30), 2)
+        with pytest.raises(PanelError, match=f"k0=2, not {k0}"):
+            lag_stack(stack, k0)
 
-    def test_idempotent(self):
-        rng = np.random.default_rng(7)
-        panel = random_panel(5, 20, seed=7)
-        q, _ = np.linalg.qr(rng.standard_normal((5, 2)))
-        loading = LoadingMatrix(q, kind="weak")
-        once = residualize(panel, loading)
-        twice = residualize(once, loading)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-10)
-
-    def test_output_orthogonal_to_loading(self):
-        rng = np.random.default_rng(8)
-        panel = random_panel(6, 25, seed=8)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
-        out = residualize(panel, LoadingMatrix(q, kind="weak"))
-        np.testing.assert_allclose(q.T @ out.values, 0.0, atol=1e-10)
-
-    def test_row_mismatch(self):
-        panel = random_panel(4, 10)
-        q = np.eye(5)[:, :2]
-        with pytest.raises(PanelError, match="rows"):
-            residualize(panel, q)
-
-    def test_non_orthonormal_rejected(self):
-        panel = random_panel(4, 10)
-        with pytest.raises(PanelError, match="orthonormal"):
-            residualize(panel, np.ones((4, 2)))
+    def test_k0_out_of_range(self):
+        with pytest.raises(PanelError):
+            lag_stack(random_panel(3, 5), 5)

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from factorclust import (
-    LoadingMatrix,
     TimeSeriesPanel,
     detect_no_cluster,
     detection_errors,
     lag_autocov,
     misclassification_count,
     pooled_matrix,
-    residualize,
     similarity_matrix,
 )
 
@@ -46,24 +44,6 @@ def test_pooled_matrix_symmetric_psd(values, k0):
     np.testing.assert_array_equal(m, m.T)
     scale = np.linalg.norm(m, 2)
     assert np.linalg.eigvalsh(m).min() >= -1e-10 * max(scale, 1.0)
-
-
-orthonormal_seeds = st.tuples(
-    st.integers(0, 2**31 - 1), st.integers(3, 8), st.integers(1, 3)
-)
-
-
-@given(params=orthonormal_seeds, n=st.integers(4, 20))
-def test_residualize_idempotent_and_orthogonal(params, n):
-    seed, p, r = params
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((p, r)))
-    loading = LoadingMatrix(q, kind="weak")
-    panel = TimeSeriesPanel(values=rng.standard_normal((p, n)))
-    once = residualize(panel, loading)
-    twice = residualize(once, loading)
-    np.testing.assert_allclose(twice.values, once.values, atol=1e-10)
-    np.testing.assert_allclose(q.T @ once.values, 0.0, atol=1e-10)
 
 
 @given(
