@@ -25,11 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import (
-    ClusteringError,
-    cluster_pipeline,
-    label_distribution,
-)
+from .clustering import ClusteringError, cluster_pipeline
 from .evaluation import EvaluationError
 from .factor_count import (
     FactorCountError,
@@ -58,14 +54,10 @@ class CliError(Exception):
         self.code = code
 
 
-def _fail(code: str, detail: str, message: str) -> "CliError":
-    return CliError(code, detail, message)
-
-
 def _require_file(path: str) -> Path:
     p = Path(path)
     if not p.is_file():
-        raise _fail("INPUT_NOT_FOUND", str(p), "no such file")
+        raise CliError("INPUT_NOT_FOUND", str(p), "no such file")
     return p
 
 
@@ -81,7 +73,7 @@ def _parse_omega(text: str):
     try:
         return float(text)
     except ValueError:
-        raise _fail(
+        raise CliError(
             "USAGE", text, "omega must be p1, p2, p3 or a positive number"
         ) from None
 
@@ -107,7 +99,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     panel = load_panel(path, orientation=args.orientation, labels=labels)
     counts = None
     if (args.r0 is None) != (args.r is None):
-        raise _fail("USAGE", "--r0/--r", "override both counts or neither")
+        raise CliError("USAGE", "--r0/--r", "override both counts or neither")
     if args.r0 is not None:
         counts = (args.r0, args.r)
     result = cluster_pipeline(
@@ -131,18 +123,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         report = result.factor_report.to_dict()
         report["provenance"] = _common_provenance(args)
         _write_json(out / "factor_count_report.json", report)
-    if panel.labels is not None:
-        categories, dist = label_distribution(
-            result.assignments,
-            [panel.labels[i] for i in result.retained_indices],
-            result.d_used,
-        )
+    if "label_distribution" in doc:
+        dist = doc["label_distribution"]
         with open(out / "label_distribution.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["category"] + [f"cluster_{j + 1}" for j in range(result.d_used)]
             )
-            for cat, row in zip(categories, dist):
+            for cat, row in zip(dist["categories"], dist["rows"]):
                 writer.writerow([cat] + [f"{v:.17g}" for v in row])
     print(f"wrote clustering outputs to {out}")
     return 0
@@ -169,7 +157,9 @@ def _cmd_factor_count(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.reps < 1:
-        raise _fail("USAGE", f"--reps {args.reps}", "need at least one replication")
+        raise CliError("USAGE", f"--reps {args.reps}", "need at least one replication")
+    if args.jobs < 1:
+        raise CliError("USAGE", f"--jobs {args.jobs}", "need at least one worker")
     if args.config:
         spec = read_scenario_config(_require_file(args.config))
     elif args.scenario == "I":
@@ -177,7 +167,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     elif args.scenario == "II":
         spec = scenario_ii(p1=args.p1)
     else:
-        raise _fail("USAGE", "simulate", "give --config FILE or --scenario I|II")
+        raise CliError("USAGE", "simulate", "give --config FILE or --scenario I|II")
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     config = MonteCarloConfig(
@@ -204,7 +194,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_example1(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.p.split(",")]
+    try:
+        sizes = [int(s) for s in args.p.split(",")]
+    except ValueError:
+        raise CliError(
+            "USAGE", f"--p {args.p}", "panel sizes must be comma-separated integers"
+        ) from None
     out = _out_dir(args.out)
     rows = []
     for p in sizes:

@@ -77,14 +77,17 @@ def omega_threshold(variant, r_hat: int, p: int) -> float:
     - ``"p2"``: sqrt(r / (p ln p))        (default elsewhere; works best)
     - ``"p3"``: sqrt(r / (p ln ln p))     (loosest, drops more series)
 
-    A numeric value is validated and passed through unchanged.
+    A numeric value must be finite and positive; it is passed through
+    unchanged.
     """
     if isinstance(variant, (int, float, np.integer, np.floating)) and not isinstance(
         variant, bool
     ):
         value = float(variant)
-        if value <= 0:
-            raise ClusteringError(f"explicit omega must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ClusteringError(
+                f"explicit omega must be finite and positive, got {value}"
+            )
         return value
     if r_hat < 1:
         raise ClusteringError(f"r_hat must be at least 1, got {r_hat}")
@@ -96,10 +99,7 @@ def omega_threshold(variant, r_hat: int, p: int) -> float:
     if variant == "p2":
         return math.sqrt(r_hat / (p * log_p))
     if variant == "p3":
-        loglog = math.log(log_p)
-        if loglog <= 0:  # unreachable for integer p >= 3; guards float misuse
-            raise ClusteringError(f"omega variant p3 needs ln ln p > 0, got p={p}")
-        return math.sqrt(r_hat / (p * loglog))
+        return math.sqrt(r_hat / (p * math.log(log_p)))
     raise ClusteringError(f"unknown omega variant {variant!r}")
 
 
@@ -108,7 +108,7 @@ def detect_no_cluster(weak, omega: float) -> np.ndarray:
 
     ``weak`` may be a LoadingMatrix or a plain (p, r) array.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ClusteringError(f"omega must be positive, got {omega}")
     b = np.asarray(getattr(weak, "matrix", weak), dtype=float)
     norms = np.linalg.norm(b, axis=1)
@@ -339,21 +339,20 @@ def wcss_curve(
     points: np.ndarray,
     d_max: int,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
 ) -> dict[int, KMeansResult]:
     """Best K-means fit for every d = 1..d_max.
 
     Each d also receives a warm start splitting the previous best solution,
-    which keeps the reported curve non-increasing in d.
+    which keeps the reported curve non-increasing in d.  Every restart runs
+    at most ``DEFAULT_MAX_ITER`` Lloyd iterations.
     """
     curve: dict[int, KMeansResult] = {}
     prev: KMeansResult | None = None
     for d in range(1, d_max + 1):
         warm = _split_farthest(points, prev) if prev is not None else None
         curve[d] = kmeans(
-            points, d, restarts=restarts, max_iter=max_iter, seed=seed + d,
-            warm_centers=warm,
+            points, d, restarts=restarts, seed=seed + d, warm_centers=warm,
         )
         prev = curve[d]
     return curve
@@ -494,18 +493,19 @@ def cluster_pipeline(
     d: int | None = None,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> ClusteringResult:
     """Run the whole pipeline: counts, loadings, detection, K-means.
 
     S(0..k0) is built once (``panel.lag_stack``) for every spectral step.
+    Every K-means restart runs at most ``DEFAULT_MAX_ITER`` Lloyd
+    iterations, a value the provenance records.
 
     Parameters
     ----------
     counts : (r0, r), optional
         Overrides the ratio-based estimation of the factor numbers
         (r0 may be 0 to skip the strong stage).
-    omega : variant name or positive float
+    omega : variant name or finite positive float
         Threshold rule for the no-cluster test.
     d : int, optional
         Overrides the elbow choice; may exceed d_hat, which is only an
@@ -548,9 +548,7 @@ def cluster_pipeline(
         raise ClusteringError(f"d override {d} outside [1, {m}]")
     d_cap = min(max(d_hat, 1), m)
     d_top = d_cap if d is None else max(d, d_cap)
-    curve = wcss_curve(
-        sim, d_top, restarts=restarts, max_iter=max_iter, seed=seed
-    )
+    curve = wcss_curve(sim, d_top, restarts=restarts, seed=seed)
     wcss_by_d = {dd: res.wcss for dd, res in curve.items()}
     if d is None:
         d_used = elbow_select({dd: wcss_by_d[dd] for dd in range(1, d_cap + 1)}, d_cap)
@@ -571,7 +569,7 @@ def cluster_pipeline(
         "d_hat": int(d_hat),
         "seed": int(seed),
         "restarts": int(restarts),
-        "max_iter": int(max_iter),
+        "max_iter": DEFAULT_MAX_ITER,
         "elbow_threshold": ELBOW_THRESHOLD,
     }
     return ClusteringResult(

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import permutations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,8 +20,6 @@ __all__ = [
     "misclassification_count",
     "aggregate_records",
 ]
-
-EXHAUSTIVE_MATCH_LIMIT = 8
 
 
 class EvaluationError(ValueError):
@@ -98,9 +95,9 @@ def misclassification_count(
 ) -> int:
     """Minimum number of disagreements over all cluster label matchings.
 
-    Exhaustive search over label bijections when both sides use the same
-    number of labels and that number is at most 8; otherwise optimal
-    matching on the confusion matrix.
+    The best matching is the optimal assignment on the confusion matrix
+    (Kuhn 1955), which maximizes the agreement over every one-to-one map
+    between the two label sets, also when they differ in size.
     """
     a = np.asarray(assignments)
     t = np.asarray(truth)
@@ -115,15 +112,8 @@ def misclassification_count(
         raise EvaluationError(f"more than d={d} distinct labels present")
     confusion = np.zeros((d_a, d_t), dtype=int)
     np.add.at(confusion, (a_codes, t_codes), 1)
-    if d_a == d_t and d_a <= EXHAUSTIVE_MATCH_LIMIT:
-        agreement = max(
-            sum(confusion[i, perm[i]] for i in range(d_a))
-            for perm in permutations(range(d_t))
-        )
-    else:
-        rows, cols = linear_sum_assignment(confusion, maximize=True)
-        agreement = int(confusion[rows, cols].sum())
-    return m - int(agreement)
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    return m - int(confusion[rows, cols].sum())
 
 
 @dataclass

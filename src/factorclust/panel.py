@@ -298,20 +298,6 @@ def lag_autocov_sequence(panel: TimeSeriesPanel, k0: int) -> np.ndarray:
     return stack
 
 
-def reduced_panel(panel: TimeSeriesPanel) -> tuple[np.ndarray | None, TimeSeriesPanel]:
-    """``(U, panel of R)`` from the thin QR X = U R of the centered panel if p > n.
-
-    The lag covariances of the n x n panel R are the C(k) with
-    S(k) = U C(k) U^T.  For p <= n this returns ``(None, panel)`` and the
-    spectral work stays in p dimensions.
-    """
-    if panel.p <= panel.n:
-        return None, panel
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    u, r = np.linalg.qr(centered)
-    return u, TimeSeriesPanel(values=r)
-
-
 @dataclass(frozen=True)
 class LagStack:
     """Read-only S(0..k0) of a p x n panel, or C(0..k0) and ``basis`` U if p > n."""
@@ -325,14 +311,22 @@ class LagStack:
 def lag_stack(panel: TimeSeriesPanel | LagStack, k0: int) -> LagStack:
     """The panel's ``LagStack`` up to lag k0; a given stack is returned as is.
 
+    When p > n the stack holds U and the C(k) of the thin QR X = U R of the
+    centered panel: the lag covariances of the n x n panel R, which
+    ``lag_autocov_sequence`` centers once more.
+
     Raises ``PanelError`` if k0 is outside [0, n - 1] or differs from a given stack's.
     """
     if isinstance(panel, LagStack):
         if len(panel.covs) != k0 + 1:
             raise PanelError(f"lag stack holds k0={len(panel.covs) - 1}, not {k0}")
         return panel
-    basis, small = reduced_panel(panel)
-    return LagStack(lag_autocov_sequence(small, k0), basis, panel.p, panel.n)
+    if panel.p <= panel.n:
+        return LagStack(lag_autocov_sequence(panel, k0), None, panel.p, panel.n)
+    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    u, r = np.linalg.qr(centered)
+    covs = lag_autocov_sequence(TimeSeriesPanel(values=r), k0)
+    return LagStack(covs, u, panel.p, panel.n)
 
 
 def pooled_matrix_from_covs(covs: Iterable[np.ndarray]) -> np.ndarray:

@@ -320,9 +320,6 @@ class Example1Population:
         m = self.sigma0 @ self.sigma0.T + self.sigma1 @ self.sigma1.T
         return (m + m.T) / 2.0
 
-    def core(self, k: int) -> np.ndarray:
-        return _example1_core(self.p, self.delta, self.a1, self.a2, self.a3, k)
-
     def lambda3_analytic(self) -> float:
         """Third-largest pooled eigenvalue in closed form."""
         return self.p ** (2.0 - 2.0 * self.delta) * (
@@ -378,20 +375,23 @@ def generate_example1(
 OMEGA_VARIANTS = ("p1", "p2", "p3")
 OMEGA_MAIN = "p2"
 KMEANS_RESTARTS = 10
-KMEANS_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """What to evaluate per replication and with which tuning values."""
+    """Which count branches a replication evaluates, and its tuning values.
+
+    ``known_counts`` and ``estimated_counts`` select the branches (the true
+    counts, the selected counts); every branch scores the strong and weak
+    subspace errors, detection at each omega variant, and the clustering.
+    ``include_baseline`` adds the single-matrix ratio baseline.
+    """
 
     k0: int = 5
     J0: int | None = None
     known_counts: bool = True
     estimated_counts: bool = False
     include_baseline: bool = True
-    evaluate_subspace: bool = True
-    evaluate_clustering: bool = True
 
 
 @dataclass
@@ -422,17 +422,16 @@ def _evaluate_branch(
     strong = estimate_strong_loadings(stack, k0=config.k0, r0=r0)
     weak = estimate_weak_loadings(stack, strong, k0=config.k0, r=r)
 
-    if config.evaluate_subspace:
-        gram = truth.A.T @ truth.A
-        p_a = truth.A @ np.linalg.solve(gram, truth.A.T)
-        p_a = (p_a + p_a.T) / 2.0
-        op, fro = projection_distance(projection(strong), p_a)
-        out[f"strong_err_op{suffix}"] = op
-        out[f"strong_err_fro{suffix}"] = fro
-        p_weak = oracle_weak_projection(truth.A, truth.B_padded)
-        op, fro = projection_distance(projection(weak), p_weak)
-        out[f"weak_err_op{suffix}"] = op
-        out[f"weak_err_fro{suffix}"] = fro
+    gram = truth.A.T @ truth.A
+    p_a = truth.A @ np.linalg.solve(gram, truth.A.T)
+    p_a = (p_a + p_a.T) / 2.0
+    op, fro = projection_distance(projection(strong), p_a)
+    out[f"strong_err_op{suffix}"] = op
+    out[f"strong_err_fro{suffix}"] = fro
+    p_weak = oracle_weak_projection(truth.A, truth.B_padded)
+    op, fro = projection_distance(projection(weak), p_weak)
+    out[f"weak_err_op{suffix}"] = op
+    out[f"weak_err_fro{suffix}"] = fro
 
     p = stack.p
     detected = {}
@@ -443,27 +442,23 @@ def _evaluate_branch(
         out[f"e1_omega_{variant}{suffix}"] = errs.e1
         out[f"e2_omega_{variant}{suffix}"] = errs.e2
 
-    if config.evaluate_clustering:
-        d_hat = cluster_upper_bound(weak, stack.n)
-        d_true = int(truth.membership.max())
-        out[f"d_hat{suffix}"] = d_hat
-        out[f"d_hat_correct{suffix}"] = bool(d_hat == d_true)
-        retained = np.setdiff1d(np.arange(p), detected[OMEGA_MAIN])
-        if len(retained) >= 2:
-            sim = similarity_matrix(weak.matrix[retained])
-            d_used = min(max(d_hat, 1), len(retained))
-            fit = kmeans(
-                sim, d_used, restarts=KMEANS_RESTARTS,
-                max_iter=KMEANS_MAX_ITER, seed=seed,
+    d_hat = cluster_upper_bound(weak, stack.n)
+    d_true = int(truth.membership.max())
+    out[f"d_hat{suffix}"] = d_hat
+    out[f"d_hat_correct{suffix}"] = bool(d_hat == d_true)
+    retained = np.setdiff1d(np.arange(p), detected[OMEGA_MAIN])
+    if len(retained) >= 2:
+        sim = similarity_matrix(weak.matrix[retained])
+        d_used = min(max(d_hat, 1), len(retained))
+        fit = kmeans(sim, d_used, restarts=KMEANS_RESTARTS, seed=seed)
+        truly_clustered = truth.membership[retained] > 0
+        sel = np.flatnonzero(truly_clustered)
+        if len(sel) > 0:
+            tau = misclassification_count(
+                fit.assignments[sel], truth.membership[retained][sel]
             )
-            truly_clustered = truth.membership[retained] > 0
-            sel = np.flatnonzero(truly_clustered)
-            if len(sel) > 0:
-                tau = misclassification_count(
-                    fit.assignments[sel], truth.membership[retained][sel]
-                )
-                out[f"tau{suffix}"] = tau
-                out[f"tau_rate{suffix}"] = tau / len(sel)
+            out[f"tau{suffix}"] = tau
+            out[f"tau_rate{suffix}"] = tau / len(sel)
     return out
 
 

@@ -70,7 +70,6 @@ def scenario_i_stats():
 def scenario_ii_stats():
     config = MonteCarloConfig(
         k0=5, known_counts=False, estimated_counts=False, include_baseline=True,
-        evaluate_subspace=False, evaluate_clustering=False,
     )
     result = run_monte_carlo(
         scenario_ii(p1=25, seed=SEED_SCENARIO_II), reps=100, config=config, jobs=JOBS
@@ -296,10 +295,7 @@ def test_criterion_8_invariant_suite():
             failures.append(f"permutation equivariance seed {seed}")
 
     # Monte Carlo determinism under parallelism
-    config = MonteCarloConfig(
-        k0=1, include_baseline=False, evaluate_subspace=True,
-        evaluate_clustering=False,
-    )
+    config = MonteCarloConfig(k0=1, include_baseline=False)
     for seed in range(50):
         spec = ScenarioSpec(
             n=60, d=2, p1=3, p_extra=2, r0=1, r_per_cluster=1, seed=44_000 + seed,

@@ -96,7 +96,8 @@ class TestClusterCommand:
                      "--r0", "1", "--r", "15", "--d", "9", "--k0", "5",
                      "--seed", "1", "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader((out / "label_distribution.csv").open()))
+        with (out / "label_distribution.csv").open() as fh:
+            rows = list(csv.reader(fh))
         header, body = rows[0], rows[1:]
         assert header[1:] == [f"cluster_{j}" for j in range(1, 10)]
         assert len(body) <= 12 and len(body[0]) == 10
@@ -123,6 +124,16 @@ class TestClusterCommand:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"E_CLUSTERING: cluster: restarts={restarts} must be at least 1"]
+
+    def test_nan_omega_rejected(self, small_panel, tmp_path, capsys):
+        path, _, _ = small_panel
+        out = tmp_path / "out"
+        code = main(["cluster", str(path), "--r0", "1", "--r", "2",
+                     "--omega", "nan", "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_CLUSTERING: cluster:")
+        assert not (out / "clustering_result.json").exists()
 
 
 class TestFactorCountCommand:
@@ -162,7 +173,8 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(cfg), "--reps", "3",
                      "--k0", "2", "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader((out / "summary.csv").open()))
+        with (out / "summary.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["metric", "mean", "sd", "n_reps"]
         assert all(row[3] == "3" for row in rows[1:])
         prov = json.loads((out / "provenance.json").read_text())
@@ -186,6 +198,15 @@ class TestSimulateCommand:
         assert code != 0
         assert "E_USAGE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):
+        code = main(["simulate", "--scenario", "I", "--reps", "1",
+                     "--jobs", jobs, "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"E_USAGE: --jobs {jobs}:")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_number_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n=300\nd=abc\n")
@@ -207,11 +228,18 @@ class TestExample1Command:
         code = main(["example1", "--p", "50,100", "--delta", "0.5",
                      "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader((out / "example1_eigenvalues.csv").open()))
+        with (out / "example1_eigenvalues.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][:2] == ["p", "lambda1"]
         for row in rows[1:]:
             lam3, analytic = float(row[3]), float(row[4])
             assert lam3 == pytest.approx(analytic, rel=1e-8)
+
+    def test_non_integer_size_usage_error(self, tmp_path, capsys):
+        code = main(["example1", "--p", "abc", "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_USAGE: --p abc:")
 
 
 def test_module_entry_point_help():

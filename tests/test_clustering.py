@@ -45,6 +45,11 @@ class TestOmegaThreshold:
         with pytest.raises(ClusteringError, match="positive"):
             omega_threshold(-0.1, r_hat=1, p=10)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_explicit_non_finite_rejected(self, value):
+        with pytest.raises(ClusteringError, match="finite and positive"):
+            omega_threshold(value, r_hat=1, p=10)
+
     def test_p_too_small_rejected(self):
         with pytest.raises(ClusteringError, match="at least 3"):
             omega_threshold("p3", r_hat=1, p=2)
@@ -69,6 +74,10 @@ class TestDetectNoCluster:
     def test_boundary_is_inclusive(self):
         b = np.array([[0.06, 0.0], [0.7, 0.0]])
         assert 0 in detect_no_cluster(b, omega=0.06)
+
+    def test_nan_omega_rejected(self):
+        with pytest.raises(ClusteringError, match="positive"):
+            detect_no_cluster(np.eye(2), omega=math.nan)
 
     def test_monotone_in_omega(self):
         rng = np.random.default_rng(0)

@@ -125,6 +125,15 @@ class TestMisclassification:
             a = r.integers(1, d + 1, m)
             t = r.integers(1, d + 1, m)
             assert misclassification_count(a, t) == misclassification_oracle(a, t)
+        # all d labels on both sides, for every d up to 8, where the
+        # bijections are few enough to enumerate
+        for d in range(2, 9):
+            for seed in range(3):
+                r = np.random.default_rng(1000 * d + seed)
+                m = int(r.integers(d, 13))
+                a = r.permutation(np.r_[np.arange(d), r.integers(0, d, m - d)])
+                t = r.permutation(np.r_[np.arange(d), r.integers(0, d, m - d)])
+                assert misclassification_count(a, t) == misclassification_oracle(a, t)
 
     def test_symmetry_and_bijection_invariance(self):
         rng = np.random.default_rng(5)
@@ -139,8 +148,8 @@ class TestMisclassification:
             assert misclassification_count(relabel[a], t) == base
 
     def test_hungarian_branch_agrees_with_exhaustive(self):
-        # d = 9 exceeds the exhaustive limit; check on a case small enough
-        # to brute force anyway
+        # d = 9, one label more than the other oracle checks; still small
+        # enough to brute force
         rng = np.random.default_rng(6)
         a = rng.integers(0, 9, 40)
         t = rng.integers(0, 9, 40)

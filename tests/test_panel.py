@@ -12,7 +12,7 @@ from factorclust import (
     pooled_matrix,
 )
 
-from factorclust.panel import lag_autocov_sequence, lag_stack, reduced_panel
+from factorclust.panel import lag_autocov_sequence, lag_stack
 from oracles import lag_autocov_oracle, pooled_oracle
 
 
@@ -289,40 +289,39 @@ class TestPooledMatrix:
             pooled_matrix(panel, 5)
 
 
-class TestReducedPanel:
-    def test_tall_or_square_panel_returned_unchanged(self):
-        for p, n in ((4, 20), (6, 6)):
-            panel = random_panel(p, n)
-            u, small = reduced_panel(panel)
-            assert u is None and small is panel
-
-    def test_wide_panel_lags_lift_exactly(self):
-        # S(k) = U C(k) U^T with C(k) the lag covariance of the R panel
-        panel = random_panel(30, 12, seed=9)
-        u, small = reduced_panel(panel)
-        assert u.shape == (30, 12) and small.p == small.n == 12
-        np.testing.assert_allclose(u.T @ u, np.eye(12), atol=1e-14)
-        stack = lag_autocov_sequence(panel, 11)
-        small_stack = lag_autocov_sequence(small, 11)
-        for k in range(12):
-            np.testing.assert_allclose(
-                u @ small_stack[k] @ u.T, stack[k], atol=1e-14
-            )
-
-
 class TestLagStack:
-    @pytest.mark.parametrize("p, n", [(4, 20), (30, 12)])
+    @pytest.mark.parametrize("p, n", [(4, 20), (30, 12), (6, 6)])
     def test_holds_the_lag_covariances(self, p, n):
         panel = random_panel(p, n, seed=3)
         stack = lag_stack(panel, 3)
-        basis, small = reduced_panel(panel)
+        full = lag_autocov_sequence(panel, 3)
         assert (stack.p, stack.n, len(stack.covs)) == (p, n, 4)
-        np.testing.assert_array_equal(stack.covs, lag_autocov_sequence(small, 3))
         assert not stack.covs.flags.writeable
-        if basis is None:
+        if p <= n:
             assert stack.basis is None
+            np.testing.assert_array_equal(stack.covs, full)
         else:
-            np.testing.assert_array_equal(stack.basis, basis)
+            u = stack.basis
+            assert u.shape == (p, n) and stack.covs.shape == (4, n, n)
+            for k in range(4):
+                np.testing.assert_allclose(
+                    u @ stack.covs[k] @ u.T, full[k], atol=1e-14
+                )
+
+    def test_wide_panel_lags_lift_exactly(self):
+        # p > n: S(k) = U C(k) U^T with orthonormal U and the held C(k)
+        panel = random_panel(30, 12, seed=9)
+        stack = lag_stack(panel, 11)
+        u = stack.basis
+        assert (stack.p, stack.n) == (30, 12)
+        assert u.shape == (30, 12) and stack.covs.shape == (12, 12, 12)
+        assert not stack.covs.flags.writeable
+        np.testing.assert_allclose(u.T @ u, np.eye(12), atol=1e-14)
+        full = lag_autocov_sequence(panel, 11)
+        for k in range(12):
+            np.testing.assert_allclose(
+                u @ stack.covs[k] @ u.T, full[k], atol=1e-14
+            )
 
     def test_stack_returned_unchanged(self):
         stack = lag_stack(random_panel(5, 30), 2)

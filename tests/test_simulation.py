@@ -246,7 +246,7 @@ class TestRobustness:
 
         spec = replace(scenario_i(p1=25), seed=501)
         panel, truth = generate_robustness(spec, 1)
-        config = MonteCarloConfig(evaluate_subspace=False)
+        config = MonteCarloConfig()
         out = _evaluate_branch(
             panel, truth, *truth.effective_counts, config, seed=0
         )
@@ -275,8 +275,7 @@ class TestMonteCarlo:
 
     def test_replication_seeds_differ(self):
         spec = ScenarioSpec(n=100, d=2, p1=5, p_extra=2, seed=10)
-        config = MonteCarloConfig(k0=1, evaluate_clustering=False,
-                                  evaluate_subspace=False, include_baseline=False)
+        config = MonteCarloConfig(k0=1, include_baseline=False)
         result = run_monte_carlo(spec, reps=4, config=config)
         assert result.n_completed == 4
         assert result.provenance["master_seed"] == 10
@@ -295,8 +294,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(sim, "replication_record", flaky)
         spec = ScenarioSpec(n=100, d=2, p1=5, p_extra=2, seed=11)
-        config = MonteCarloConfig(k0=1, evaluate_clustering=False,
-                                  evaluate_subspace=False, include_baseline=False)
+        config = MonteCarloConfig(k0=1, include_baseline=False)
         result = sim.run_monte_carlo(spec, reps=3, config=config, jobs=1)
         assert result.n_completed == 2
         assert len(result.failures) == 1
