@@ -30,6 +30,7 @@ from .evaluation import EvaluationError
 from .factor_count import (
     FactorCountError,
     cumulative_ratio_sequence,
+    select_factor_counts,
 )
 from .loadings import LoadingError, save_loadings_csv
 from .panel import PanelError, load_labels, load_panel
@@ -67,6 +68,14 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _check_k0(k0: int, n: int | None = None) -> None:
+    """Usage error for a negative ``--k0`` or, once n is known, k0 >= n."""
+    if k0 < 0:
+        raise CliError("USAGE", f"--k0 {k0}", "the largest lag must be at least 0")
+    if n is not None and k0 >= n:
+        raise CliError("USAGE", f"--k0 {k0}", f"the largest lag must be below n={n}")
+
+
 def _parse_omega(text: str):
     if text in ("p1", "p2", "p3"):
         return text
@@ -93,10 +102,12 @@ def _common_provenance(args: argparse.Namespace) -> dict:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     path = _require_file(args.input)
+    _check_k0(args.k0)
     labels = None
     if args.labels:
         labels = load_labels(_require_file(args.labels))
     panel = load_panel(path, orientation=args.orientation, labels=labels)
+    _check_k0(args.k0, panel.n)
     counts = None
     if (args.r0 is None) != (args.r is None):
         raise CliError("USAGE", "--r0/--r", "override both counts or neither")
@@ -138,11 +149,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_factor_count(args: argparse.Namespace) -> int:
     path = _require_file(args.input)
+    _check_k0(args.k0)
     panel = load_panel(path, orientation=args.orientation)
+    _check_k0(args.k0, panel.n)
     report = cumulative_ratio_sequence(panel, k0=args.k0, J0=args.j0)
     doc_error = None
     try:
-        report = report.with_selection()
+        select_factor_counts(report)
     except FactorCountError as exc:
         doc_error = str(exc)
     doc = report.to_dict()

@@ -39,7 +39,7 @@ import numpy as np
 from .factor_count import (
     FactorCountReport,
     cumulative_ratio_sequence,
-    select_factor_counts,  # noqa: F401 - perfbench/tracer.py wraps this binding
+    select_factor_counts,
 )
 from .loadings import LoadingMatrix, estimate_strong_loadings, estimate_weak_loadings
 from .panel import TimeSeriesPanel, lag_stack
@@ -163,7 +163,6 @@ class KMeansResult:
     assignments: np.ndarray  # (m,) labels 0..d-1, no empty cluster
     centers: np.ndarray      # (d, q)
     wcss: float
-    n_iter: int
     wcss_trace: list[float]  # per-iteration values of the winning restart
 
 
@@ -230,16 +229,18 @@ def _candidate_inits(
 
 
 def _lloyd(
-    points: np.ndarray, sq: np.ndarray, centers: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, float, int, list[float]]:
-    """Lloyd iterations with empty-cluster repair; stops when labels settle."""
+    points: np.ndarray, sq: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Lloyd iterations with empty-cluster repair; stops when labels settle
+    or after ``DEFAULT_MAX_ITER`` iterations.  Returns the labels, the
+    centers and the WCSS trace, whose last value is the WCSS."""
     m = points.shape[0]
     d = centers.shape[0]
     sq_total = float(sq.sum())
     centers = centers.copy()
     labels = np.full(m, -1, dtype=int)
     trace: list[float] = []
-    for it in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         d2 = (
             sq[:, None]
             - 2.0 * points @ centers.T
@@ -261,21 +262,20 @@ def _lloyd(
             new_labels[far] = c
         if np.array_equal(new_labels, labels):
             trace.append(trace[-1])
-            return labels, centers, trace[-1], it + 1, trace
+            return labels, centers, trace
         labels = new_labels
         onehot = (labels[:, None] == np.arange(d)).astype(float)
         centers = (onehot.T @ points) / counts[:, None]
         # fsum: the value must not depend on how the clusters are numbered
         explained = math.fsum(counts * np.sum(centers**2, axis=1))
         trace.append(max(sq_total - explained, 0.0))
-    return labels, centers, trace[-1], max_iter, trace
+    return labels, centers, trace
 
 
 def kmeans(
     points: np.ndarray,
     d: int,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
     warm_centers: np.ndarray | None = None,
 ) -> KMeansResult:
@@ -286,12 +286,13 @@ def kmeans(
     centers from its own child generator, first centers cycling through a
     seeded permutation of the points.  Ties in the best WCSS go to the
     earliest candidate; ``warm_centers``, when given, is evaluated before
-    all restarts.
+    all restarts.  Every run stops when its labels settle or after
+    ``DEFAULT_MAX_ITER`` Lloyd iterations.
 
     Raises
     ------
     ClusteringError
-        If d is outside [1, m], or ``restarts`` or ``max_iter`` is below 1.
+        If d is outside [1, m] or ``restarts`` is below 1.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -301,8 +302,6 @@ def kmeans(
         raise ClusteringError(f"d={d} outside [1, {m}]")
     if restarts < 1:
         raise ClusteringError(f"restarts={restarts} must be at least 1")
-    if max_iter < 1:
-        raise ClusteringError(f"max_iter={max_iter} must be at least 1")
     sq = np.sum(pts**2, axis=1)
     best: KMeansResult | None = None
     inits: list[np.ndarray] = []
@@ -315,14 +314,10 @@ def kmeans(
         inits.append(warm)
     inits.extend(_candidate_inits(pts, sq, d, restarts, seed))
     for init in inits:
-        labels, centers, wcss, n_iter, trace = _lloyd(pts, sq, init, max_iter)
-        if best is None or wcss < best.wcss:
+        labels, centers, trace = _lloyd(pts, sq, init)
+        if best is None or trace[-1] < best.wcss:
             best = KMeansResult(
-                assignments=labels,
-                centers=centers,
-                wcss=wcss,
-                n_iter=n_iter,
-                wcss_trace=trace,
+                assignments=labels, centers=centers, wcss=trace[-1], wcss_trace=trace
             )
     assert best is not None
     return best
@@ -358,10 +353,9 @@ def wcss_curve(
     return curve
 
 
-def elbow_select(
-    wcss_by_d: dict[int, float], d_max: int, theta: float = ELBOW_THRESHOLD
-) -> int:
-    """Smallest d whose relative WCSS drop to d+1 falls below theta.
+def elbow_select(wcss_by_d: dict[int, float], d_max: int) -> int:
+    """Smallest d whose relative WCSS drop to d+1 falls below
+    ``ELBOW_THRESHOLD`` (0.10).
 
     Returns d_max when the curve never stabilizes.  Advisory only; report
     the whole curve alongside.
@@ -370,7 +364,7 @@ def elbow_select(
         w = wcss_by_d[d]
         w_next = wcss_by_d[d + 1]
         drop = 0.0 if w <= 0.0 else (w - w_next) / w
-        if drop < theta:
+        if drop < ELBOW_THRESHOLD:
             return d
     return d_max
 
@@ -497,8 +491,10 @@ def cluster_pipeline(
     """Run the whole pipeline: counts, loadings, detection, K-means.
 
     S(0..k0) is built once (``panel.lag_stack``) for every spectral step.
-    Every K-means restart runs at most ``DEFAULT_MAX_ITER`` Lloyd
-    iterations, a value the provenance records.
+    Estimated counts come from ``select_factor_counts``; the result's
+    ``factor_report`` carries them as its ``selected`` property.  Every
+    K-means restart runs at most ``DEFAULT_MAX_ITER`` Lloyd iterations, a
+    value the provenance records.
 
     Parameters
     ----------
@@ -516,16 +512,15 @@ def cluster_pipeline(
     counts_source = "override"
     stack = lag_stack(panel, k0)
     if counts is None:
-        factor_report = cumulative_ratio_sequence(stack, k0=k0, J0=J0).with_selection()
-        r0, total = factor_report.selected
-        r = total - r0
+        factor_report = cumulative_ratio_sequence(stack, k0=k0, J0=J0)
+        r0, r = select_factor_counts(factor_report)
         counts_source = "estimated"
     else:
         r0, r = counts
         if r0 < 0 or r < 1:
             raise ClusteringError(f"invalid counts override (r0={r0}, r={r})")
     if r0 == 0:
-        strong = LoadingMatrix(matrix=np.zeros((p, 0)), kind="strong")
+        strong = LoadingMatrix(matrix=np.zeros((p, 0)))
     else:
         strong = estimate_strong_loadings(stack, k0=k0, r0=r0)
     weak = estimate_weak_loadings(stack, strong, k0=k0, r=r)

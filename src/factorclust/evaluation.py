@@ -53,13 +53,11 @@ class DetectionErrors:
     e1 is the fraction of truly clustered series wrongly flagged as
     no-cluster; e2 the fraction of true no-cluster series that were
     retained.  When a denominator set is empty the rate is 0 by
-    convention and the matching ``*_defined`` flag is False.
+    convention.
     """
 
     e1: float
     e2: float
-    e1_defined: bool = True
-    e2_defined: bool = True
 
 
 def detection_errors(
@@ -72,17 +70,9 @@ def detection_errors(
         if any(i < 0 or i >= p for i in s):
             raise EvaluationError(f"{name} contains indices outside range(0, {p})")
     complement = set(range(p)) - true
-    if complement:
-        e1 = len(complement & hat) / len(complement)
-        e1_defined = True
-    else:
-        e1, e1_defined = 0.0, False
-    if true:
-        e2 = len(true - hat) / len(true)
-        e2_defined = True
-    else:
-        e2, e2_defined = 0.0, False
-    return DetectionErrors(e1=e1, e2=e2, e1_defined=e1_defined, e2_defined=e2_defined)
+    e1 = len(complement & hat) / len(complement) if complement else 0.0
+    e2 = len(true - hat) / len(true) if true else 0.0
+    return DetectionErrors(e1=e1, e2=e2)
 
 
 def _compact(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -90,14 +80,13 @@ def _compact(labels: np.ndarray) -> tuple[np.ndarray, int]:
     return codes, len(uniq)
 
 
-def misclassification_count(
-    assignments: Sequence[int], truth: Sequence[int], d: int | None = None
-) -> int:
+def misclassification_count(assignments: Sequence[int], truth: Sequence[int]) -> int:
     """Minimum number of disagreements over all cluster label matchings.
 
     The best matching is the optimal assignment on the confusion matrix
     (Kuhn 1955), which maximizes the agreement over every one-to-one map
-    between the two label sets, also when they differ in size.
+    between the two label sets, also when they differ in size.  Any number of
+    distinct labels is accepted on either side.
     """
     a = np.asarray(assignments)
     t = np.asarray(truth)
@@ -108,8 +97,6 @@ def misclassification_count(
         return 0
     a_codes, d_a = _compact(a)
     t_codes, d_t = _compact(t)
-    if d is not None and max(d_a, d_t) > d:
-        raise EvaluationError(f"more than d={d} distinct labels present")
     confusion = np.zeros((d_a, d_t), dtype=int)
     np.add.at(confusion, (a_codes, t_codes), 1)
     rows, cols = linear_sum_assignment(confusion, maximize=True)
@@ -124,9 +111,6 @@ class SummaryTable:
 
     def as_dict(self) -> dict[str, tuple[float, float, int]]:
         return {name: (mean, sd, n) for name, mean, sd, n in self.rows}
-
-    def mean(self, metric: str) -> float:
-        return self.as_dict()[metric][0]
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:

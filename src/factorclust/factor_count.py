@@ -21,7 +21,6 @@ strong and weak factors coexist, and is provided for comparison.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import warnings
 from dataclasses import dataclass
@@ -48,9 +47,9 @@ class FactorCountError(ValueError):
     """Ratio sequence unusable for selecting the factor numbers."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorCountReport:
-    """Ratio sequence, truncation flags and (optionally) the selection.
+    """Ratio sequence, truncation flags and the selection they imply.
 
     Attributes
     ----------
@@ -62,37 +61,43 @@ class FactorCountReport:
     local_max_indices : list of int
         1-based positions s with R_s > max(R_{s-1}, R_{s+1}), using
         R_0 = 1 and a left-sided test at s = J0 - 1.
-    selected : (int, int) or None
-        (r0_hat, r0_hat + r_hat) once selection has run.
     per_lag_eigenvalues : ndarray, shape (rows, p)
         Row k holds the descending eigenvalues of S(k) S(k)^T; for the
         single-matrix baseline a single row holds the eigenvalues of M.
         Entries past min(p, n) are exact zeros: for p > n the spectra are
         computed in n dimensions (see ``panel.lag_stack``).
     method : {"cumulative", "pooled"}
-    tie_break_applied : bool
-        True when the two largest maxima were separated only by the
-        smaller-index rule.
+
+    The report is frozen: no field can be reassigned.  The properties
+    ``selected`` and ``tie_break_applied`` are derived from ``ratios`` and
+    ``local_max_indices``.
     """
 
     ratios: np.ndarray
     truncated: np.ndarray
     local_max_indices: list[int]
-    selected: tuple[int, int] | None
     J0: int
     k0: int
     n: int
     per_lag_eigenvalues: np.ndarray
     method: str = "cumulative"
-    tie_break_applied: bool = False
 
-    def with_selection(self) -> "FactorCountReport":
-        """Copy of the report with ``selected`` and ``tie_break_applied`` filled
-        in; ``self`` is unchanged."""
-        r0, r = select_factor_counts(self)
-        return dataclasses.replace(
-            self, selected=(r0, r0 + r), tie_break_applied=_tie_at_cut(self)
-        )
+    @property
+    def selected(self) -> tuple[int, int] | None:
+        """(r0_hat, r0_hat + r_hat): the indices of the two largest local
+        maxima in ascending order, or None with fewer than two maxima."""
+        ranked = _ranked_maxima(self)
+        if len(ranked) < 2:
+            return None
+        tau1, tau2 = sorted(ranked[:2])
+        return tau1, tau2
+
+    @property
+    def tie_break_applied(self) -> bool:
+        """True when the second and third largest maxima have equal ratios,
+        so the smaller-index rule decided the cut."""
+        values = [self.ratios[j - 1] for j in _ranked_maxima(self)[1:3]]
+        return len(values) == 2 and bool(values[0] == values[1])
 
     def to_dict(self) -> dict:
         """JSON-ready representation (inf/nan ratios become strings)."""
@@ -181,13 +186,12 @@ def _local_maxima(ratios: np.ndarray, truncated: np.ndarray) -> list[int]:
 def _ratio_report(
     weighted: np.ndarray, J0: int, k0: int, n: int, eigs: np.ndarray, method: str
 ) -> FactorCountReport:
-    """Report of the ratios of ``weighted`` up to J0, selection empty."""
+    """Report of the ratios of ``weighted`` up to J0."""
     ratios, truncated = _ratios_from_weighted_sums(weighted, J0)
     return FactorCountReport(
         ratios=ratios,
         truncated=truncated,
         local_max_indices=_local_maxima(ratios, truncated),
-        selected=None,
         J0=J0,
         k0=k0,
         n=n,
@@ -199,7 +203,7 @@ def _ratio_report(
 def cumulative_ratio_sequence(
     panel: TimeSeriesPanel | LagStack, k0: int = 5, J0: int | None = None
 ) -> FactorCountReport:
-    """Lag-pooled eigenvalue-ratio sequence of a panel (selection empty).
+    """Lag-pooled eigenvalue-ratio sequence of a panel and its selection.
 
     Parameters
     ----------
@@ -254,37 +258,30 @@ def _ranked_maxima(report: FactorCountReport) -> list[int]:
     return sorted(report.local_max_indices, key=lambda j: (-report.ratios[j - 1], j))
 
 
-def _tie_at_cut(report: FactorCountReport) -> bool:
-    """True when the second and third ranked maxima have equal ratios."""
-    values = [report.ratios[j - 1] for j in _ranked_maxima(report)[1:3]]
-    return len(values) == 2 and values[0] == values[1]
-
-
 def select_factor_counts(report: FactorCountReport) -> tuple[int, int]:
-    """Pick (r0_hat, r_hat) from the two largest local maxima.
+    """(r0_hat, r_hat) from the report's ``selected`` maxima.
 
     Ties in ratio value are broken toward the smaller index (the
     stronger-factor reading), with a warning when the rule actually
-    decided the cut.  ``report`` is left unchanged; ``with_selection``
-    returns a copy carrying the selection and the tie flag.
+    decided the cut (``report.tie_break_applied``).
 
     Raises
     ------
     FactorCountError
-        With fewer than two local maxima; raise J0 or supply the factor
-        counts manually.
+        With fewer than two local maxima (``report.selected`` is None);
+        raise J0 or supply the factor counts manually.
     """
-    maxima = report.local_max_indices
-    if len(maxima) < 2:
+    selected = report.selected
+    if selected is None:
         raise FactorCountError(
-            f"found {len(maxima)} local maxima in the ratio sequence; "
-            "increase J0 or supply the factor counts manually"
+            f"found {len(report.local_max_indices)} local maxima in the ratio "
+            "sequence; increase J0 or supply the factor counts manually"
         )
-    if _tie_at_cut(report):
+    if report.tie_break_applied:
         # the value at the selection cut is ambiguous
         warnings.warn(
             "equal ratio values at different indices; smaller index preferred",
             stacklevel=2,
         )
-    tau1, tau2 = sorted(_ranked_maxima(report)[:2])
+    tau1, tau2 = selected
     return tau1, tau2 - tau1

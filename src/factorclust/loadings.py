@@ -47,14 +47,11 @@ class LoadingMatrix:
     """p x r matrix with orthonormal columns; r = 0 is an explicit empty fit."""
 
     matrix: np.ndarray
-    kind: str  # "strong" | "weak"
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2:
             raise LoadingError(f"loading must be 2-d, got shape {m.shape}")
-        if self.kind not in ("strong", "weak"):
-            raise LoadingError(f"kind must be 'strong' or 'weak', got {self.kind!r}")
         r = m.shape[1]
         if r > 0:
             gram = m.T @ m
@@ -126,7 +123,7 @@ def estimate_strong_loadings(
     stack = lag_stack(panel, k0)
     pooled = pooled_matrix_from_covs(stack.covs)
     vecs = _top_eigenvectors(pooled, r0, "strong loadings", stack.basis)
-    return LoadingMatrix(matrix=vecs, kind="strong")
+    return LoadingMatrix(matrix=vecs)
 
 
 def estimate_weak_loadings(
@@ -180,7 +177,7 @@ def estimate_weak_loadings(
             vecs = vecs - q @ (q.T @ vecs)
             vecs, _ = np.linalg.qr(vecs)
             vecs = _orient_columns(vecs)
-    return LoadingMatrix(matrix=vecs, kind="weak")
+    return LoadingMatrix(matrix=vecs)
 
 
 def projection(loading: LoadingMatrix) -> np.ndarray:

@@ -112,23 +112,32 @@ class TimeSeriesPanel:
 
 @contextmanager
 def _open_text(source: str | Path | IO[str] | IO[bytes]) -> Iterator[IO[str]]:
-    """Text view of a CSV source; a caller's stream stays open, bytes decode as read."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", newline="") as fh:
-            yield fh
-    elif isinstance(source, io.TextIOBase):
-        yield source
-    elif isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
-        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-        try:
-            yield text
-        finally:
-            text.detach()  # closing the wrapper would close the caller's stream
-    elif hasattr(source, "read"):
-        data = source.read()
-        yield io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
-    else:
-        raise PanelError(f"unsupported CSV source type {type(source)!r}")
+    """Text view of a CSV source; a caller's stream stays open, files and
+    bytes decode as UTF-8 as they are read.
+
+    Bytes that are not UTF-8 raise ``PanelError``, naming the decoder's
+    reason but no offset: the decoder counts from the start of its chunk,
+    not of the file.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                yield fh
+        elif isinstance(source, io.TextIOBase):
+            yield source
+        elif isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
+            text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+            try:
+                yield text
+            finally:
+                text.detach()  # closing the wrapper would close the caller's stream
+        elif hasattr(source, "read"):
+            data = source.read()
+            yield io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
+        else:
+            raise PanelError(f"unsupported CSV source type {type(source)!r}")
+    except UnicodeDecodeError as exc:
+        raise PanelError(f"input is not UTF-8 text: {exc.reason}") from None
 
 
 def _parse_cell(cell: str, row: int, col: int, col_name: str | None = None) -> float:
@@ -176,7 +185,7 @@ def load_panel(
     Parameters
     ----------
     source : path or file-like
-        CSV input; bytes are decoded as UTF-8.
+        CSV input; files and bytes are decoded as UTF-8.
     orientation : {"rows-as-time", "rows-as-series"}
     labels : dict, optional
         Mapping series_id -> category; attached where ids match.
@@ -188,8 +197,9 @@ def load_panel(
     Raises
     ------
     PanelError
-        On ragged rows, non-numeric cells (reported with row/column
-        location), or fewer than 2 series / 2 time points.
+        On input that is not UTF-8, ragged rows, non-numeric cells
+        (reported with row/column location), or fewer than 2 series / 2
+        time points.
     """
     if orientation not in ("rows-as-time", "rows-as-series"):
         raise PanelError(f"unknown orientation {orientation!r}")

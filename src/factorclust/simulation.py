@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -574,20 +574,16 @@ def run_monte_carlo(
     )
 
 
-_SPEC_FIELDS = {
-    "n": int, "d": int, "p1": int, "p_extra": int, "r0": int,
-    "r_per_cluster": int, "noise_innovation_var": float, "seed": int,
-}
-
-
 def read_scenario_config(path: str | Path) -> ScenarioSpec:
     """Parse a flat key=value text file into a ScenarioSpec.
 
-    Supported keys: n, d, p1, p_extra, r0, r_per_cluster,
-    noise_innovation_var, seed, shuffle (true/false), ar_range, ma_range,
+    The keys are ``ScenarioSpec``'s fields, each parsed by the type of its
+    default: n, d, p1, p_extra, r0, r_per_cluster, seed (int),
+    noise_innovation_var (float), shuffle (true/false), ar_range, ma_range,
     factor_sd_range, loading_range (two comma-separated floats).
     Lines starting with ``#`` are ignored.
     """
+    types = {f.name: type(f.default) for f in fields(ScenarioSpec)}
     kwargs: dict = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -598,18 +594,14 @@ def read_scenario_config(path: str | Path) -> ScenarioSpec:
             raise SimulationError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _SPEC_FIELDS:
-            try:
-                kwargs[key] = _SPEC_FIELDS[key](value)
-            except ValueError:
-                raise SimulationError(
-                    f"{path}:{lineno}: {key}: invalid value {value!r}"
-                ) from None
-        elif key == "shuffle":
+        kind = types.get(key)
+        if kind is None:
+            raise SimulationError(f"{path}:{lineno}: unknown key {key!r}")
+        if kind is bool:
             if value.lower() not in ("true", "false"):
-                raise SimulationError(f"{path}:{lineno}: shuffle must be true|false")
+                raise SimulationError(f"{path}:{lineno}: {key} must be true|false")
             kwargs[key] = value.lower() == "true"
-        elif key in ("ar_range", "ma_range", "factor_sd_range", "loading_range"):
+        elif kind is tuple:
             try:
                 parts = [float(v) for v in value.split(",")]
             except ValueError:
@@ -618,5 +610,10 @@ def read_scenario_config(path: str | Path) -> ScenarioSpec:
                 raise SimulationError(f"{path}:{lineno}: {key} needs two floats")
             kwargs[key] = (parts[0], parts[1])
         else:
-            raise SimulationError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                kwargs[key] = kind(value)
+            except ValueError:
+                raise SimulationError(
+                    f"{path}:{lineno}: {key}: invalid value {value!r}"
+                ) from None
     return ScenarioSpec(**kwargs)

@@ -70,6 +70,22 @@ class TestClusterCommand:
         assert code != 0
         assert capsys.readouterr().err.startswith("E_INPUT_FORMAT:")
 
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_non_utf8_input_one_line(self, small_panel, tmp_path, capsys, sidecar):
+        path, _, _ = small_panel
+        bad = tmp_path / "bad.csv"
+        if sidecar:
+            bad.write_bytes(b"series_id,label\ns000,caf\xe9\n")
+            argv = ["cluster", str(path), "--labels", str(bad)]
+        else:
+            bad.write_bytes(b"a,b\n1,0\n2,\xff1\n3,2\n")
+            argv = ["cluster", str(bad)]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("E_INPUT_FORMAT: cluster: input is not UTF-8 text: ")
+
     def test_mismatched_count_override(self, small_panel, tmp_path, capsys):
         path, _, _ = small_panel
         code = main(["cluster", str(path), "--r0", "1", "--out", str(tmp_path)])
@@ -161,6 +177,18 @@ class TestFactorCountCommand:
         doc = json.loads((out / "factor_count_report.json").read_text())
         assert doc["selected"] is None
         assert "manually" in doc["selection_error"]
+
+
+@pytest.mark.parametrize("command", ["cluster", "factor-count"])
+@pytest.mark.parametrize("k0", ["-1", "300", "5000"])
+def test_k0_out_of_range_usage_error(small_panel, tmp_path, capsys, command, k0):
+    # the small panel has n = 300 time points, so k0 must lie in [0, 299]
+    path, _, _ = small_panel
+    code = main([command, str(path), "--k0", k0, "--out", str(tmp_path / "out")])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"E_USAGE: --k0 {k0}: ")
+    assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:

@@ -87,12 +87,11 @@ class TestDetectionErrors:
 
     def test_empty_truth_convention(self):
         errs = detection_errors({1}, set(), p=5)
-        assert errs.e2 == 0.0 and not errs.e2_defined
-        assert errs.e1_defined
+        assert errs.e2 == 0.0
 
     def test_full_truth_convention(self):
         errs = detection_errors(set(), set(range(5)), p=5)
-        assert errs.e1 == 0.0 and not errs.e1_defined
+        assert errs.e1 == 0.0
 
     def test_out_of_range(self):
         with pytest.raises(EvaluationError, match="outside"):
@@ -164,10 +163,6 @@ class TestMisclassification:
     def test_length_mismatch(self):
         with pytest.raises(EvaluationError, match="length"):
             misclassification_count([1, 2], [1])
-
-    def test_d_cap_enforced(self):
-        with pytest.raises(EvaluationError, match="distinct"):
-            misclassification_count([1, 2, 3], [1, 1, 1], d=2)
 
 
 class TestAggregation:

@@ -1,5 +1,10 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorclust import (
     FactorCountError,
@@ -25,7 +30,6 @@ def make_report(ratios, J0=None):
         ratios=ratios,
         truncated=truncated,
         local_max_indices=_local_maxima(ratios, truncated),
-        selected=None,
         J0=j0,
         k0=0,
         n=100,
@@ -138,18 +142,49 @@ class TestSelection:
         with pytest.warns(UserWarning, match="smaller index"):
             r0, r = select_factor_counts(report)
         assert (r0, r) == (1, 2)
-        assert not report.tie_break_applied
+        # the tie is a property of the report's own ratios
+        assert report.tie_break_applied
 
-    def test_with_selection_returns_copy(self):
+    def test_selection_properties(self):
         report = make_report([5.0, 1.1, 8.0, 1.0, 1.0])
-        done = report.with_selection()
-        assert done.selected == (1, 3)
-        assert report.selected is None
+        assert report.selected == (1, 3)
+        assert not report.tie_break_applied
         tied = make_report([9.0, 1.0, 5.0, 1.0, 5.0, 1.0, 2.0])
-        with pytest.warns(UserWarning, match="smaller index"):
-            done = tied.with_selection()
-        assert done.tie_break_applied
-        assert not tied.tie_break_applied
+        assert tied.selected == (1, 3)
+        assert tied.tie_break_applied
+        single = make_report([9.0, 3.0, 2.0, 1.5, 1.2])
+        assert single.selected is None
+        assert not single.tie_break_applied
+
+    def test_report_is_frozen(self):
+        report = make_report([5.0, 1.1, 8.0, 1.0, 1.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.ratios = np.ones(5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.local_max_indices = [1, 2]
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        ratios=st.lists(
+            st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_select_matches_report_properties(self, ratios):
+        # a small value set makes equal maxima, and so ties at the cut, common
+        report = make_report(ratios)
+        if report.selected is None:
+            assert len(report.local_max_indices) < 2
+            with pytest.raises(FactorCountError):
+                select_factor_counts(report)
+            return
+        s0, s1 = report.selected
+        assert s0 < s1 and {s0, s1} <= set(report.local_max_indices)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert select_factor_counts(report) == (s0, s1 - s0)
+        assert bool(caught) == report.tie_break_applied
 
     def test_noiseless_recovery_rate(self):
         # exact-rank panels: the total-count spike is the truncation

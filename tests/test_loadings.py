@@ -33,15 +33,10 @@ def noisy_factor_panel(p, n, r0, r, seed, noise=0.1, strong_scale=4.0):
 class TestLoadingMatrixType:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(LoadingError, match="orthonormal"):
-            LoadingMatrix(np.ones((4, 2)), kind="strong")
-
-    def test_rejects_bad_kind(self):
-        q = np.eye(4)[:, :2]
-        with pytest.raises(LoadingError, match="kind"):
-            LoadingMatrix(q, kind="medium")
+            LoadingMatrix(np.ones((4, 2)))
 
     def test_empty_loading_allowed(self):
-        empty = LoadingMatrix(np.zeros((4, 0)), kind="weak")
+        empty = LoadingMatrix(np.zeros((4, 0)))
         assert empty.r == 0
 
 
@@ -88,7 +83,7 @@ class TestWeakLoadings:
         rng = np.random.default_rng(2)
         basis, _ = np.linalg.qr(rng.standard_normal((8, 5)))
         panel = TimeSeriesPanel(values=basis[:, :3] @ rng.standard_normal((3, 60)))
-        strong = LoadingMatrix(basis[:, 3:5], kind="strong")
+        strong = LoadingMatrix(basis[:, 3:5])
         weak = estimate_weak_loadings(panel, strong, k0=2, r=2)
         direct = estimate_strong_loadings(panel, k0=2, r0=2)
         np.testing.assert_allclose(weak.matrix, direct.matrix, atol=1e-8)
@@ -124,16 +119,16 @@ class TestWeakLoadings:
         panel = noisy_factor_panel(6, 40, 1, 2, 0)
         q = np.eye(7)[:, :1]
         with pytest.raises(LoadingError, match="rows"):
-            estimate_weak_loadings(panel, LoadingMatrix(q, kind="strong"), k0=1, r=2)
+            estimate_weak_loadings(panel, LoadingMatrix(q), k0=1, r=2)
 
 
 class TestProjection:
     def test_single_basis_vector(self):
-        q = LoadingMatrix(np.array([[1.0], [0.0]]), kind="strong")
+        q = LoadingMatrix(np.array([[1.0], [0.0]]))
         np.testing.assert_array_equal(projection(q), np.diag([1.0, 0.0]))
 
     def test_full_basis_is_identity(self):
-        q = LoadingMatrix(np.eye(4), kind="strong")
+        q = LoadingMatrix(np.eye(4))
         np.testing.assert_allclose(projection(q), np.eye(4), atol=1e-12)
 
     def test_basis_change_invariance(self):
@@ -144,15 +139,15 @@ class TestProjection:
             [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
         )
         q2 = q1 @ rot
-        p1 = projection(LoadingMatrix(q1, kind="weak"))
-        p2 = projection(LoadingMatrix(q2, kind="weak"))
+        p1 = projection(LoadingMatrix(q1))
+        p2 = projection(LoadingMatrix(q2))
         np.testing.assert_allclose(p1, p2, atol=1e-12)
 
     def test_idempotent_and_trace(self):
         rng = np.random.default_rng(5)
         for r in (1, 2, 4):
             q, _ = np.linalg.qr(rng.standard_normal((7, r)))
-            p = projection(LoadingMatrix(q, kind="weak"))
+            p = projection(LoadingMatrix(q))
             np.testing.assert_allclose(p @ p, p, atol=1e-10)
             assert abs(np.trace(p) - r) < 1e-8
 

@@ -63,6 +63,10 @@ class TestLoadPanel:
         panel = load_panel(io.BytesIO(b"a,b\n1,0\n2,1"))
         assert panel.p == 2
 
+    def test_non_utf8_bytes_rejected(self):
+        with pytest.raises(PanelError, match="not UTF-8 text: invalid start byte$"):
+            load_panel(io.BytesIO(b"a,b\n1,0\n2,\xff1\n3,2"))
+
     def test_nan_cell_names_location(self):
         with pytest.raises(PanelError, match=r"row 3, column 2 \(b\)"):
             load_panel(io.StringIO("a,b\n1,0\n2,NaN"))

@@ -1,16 +1,24 @@
-"""Every binding the benchmark's span tracer wraps still exists.
+"""Every binding the benchmark's span tracer wraps still exists, and no
+other import in the package goes unused.
 
 ``perfbench/tracer.py`` replaces each ``STAGES`` entry by a wrapper under
 the module attribute the package looks it up by; a traced run fails if
 one of them is gone.  The tracer is imported from its file, unchanged.
+An import the package itself never uses is kept only when it is such a
+binding and is marked ``noqa: F401``.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+MODULES = sorted(
+    p for p in (ROOT / "src" / "factorclust").glob("*.py") if p.name != "__init__.py"
+)
 
 
 def _load_tracer():
@@ -29,3 +37,49 @@ tracer = _load_tracer()
 def test_stage_binding_resolves(module_name, attr, span):
     owner, last = tracer._resolve(module_name, attr)
     assert callable(getattr(owner, last))
+
+
+def unused_imports(source: str, module_name: str, bindings: set) -> list[str]:
+    """Names imported by ``source`` and never read, less the marked bindings."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        name
+        for name, lineno in imported.items()
+        if name not in used
+        and not (
+            "noqa: F401" in lines[lineno - 1] and (module_name, name) in bindings
+        )
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_import(path):
+    bindings = {(m, a) for m, a, _ in tracer.STAGES}
+    module_name = f"factorclust.{path.stem}"
+    assert unused_imports(path.read_text(encoding="utf-8"), module_name, bindings) == []
+
+
+def test_unused_import_check_catches_unmarked_and_unlisted_names():
+    source = (
+        "import os\n"
+        "from .panel import lag_stack  # noqa: F401\n"
+        "from .panel import lag_autocov_sequence  # noqa: F401\n"
+        "from .panel import pooled_matrix_from_covs\n"
+    )
+    bindings = {
+        ("factorclust.m", "lag_autocov_sequence"),
+        ("factorclust.m", "pooled_matrix_from_covs"),
+    }
+    assert unused_imports(source, "factorclust.m", bindings) == [
+        "lag_stack", "os", "pooled_matrix_from_covs"
+    ]

@@ -72,7 +72,7 @@ def p_space_report(panel, k0, J0):
     ratios, truncated = _ratios_from_weighted_sums(weights @ eigs, J0)
     return FactorCountReport(
         ratios=ratios, truncated=truncated,
-        local_max_indices=_local_maxima(ratios, truncated), selected=None,
+        local_max_indices=_local_maxima(ratios, truncated),
         J0=J0, k0=k0, n=panel.n, per_lag_eigenvalues=eigs,
     )
 
@@ -187,4 +187,4 @@ class TestEdgeCases:
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.standard_normal((P, 2)))
         with pytest.raises(LoadingError, match="column space"):
-            estimate_weak_loadings(panel, LoadingMatrix(q, kind="strong"), k0=2, r=3)
+            estimate_weak_loadings(panel, LoadingMatrix(q), k0=2, r=3)
