@@ -77,14 +77,19 @@ def _check_k0(k0: int, n: int | None = None) -> None:
 
 
 def _parse_omega(text: str):
+    """``--omega`` as a variant name or a finite positive float."""
     if text in ("p1", "p2", "p3"):
         return text
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = 0.0
+    if not 0.0 < value < float("inf"):  # also false for nan
         raise CliError(
-            "USAGE", text, "omega must be p1, p2, p3 or a positive number"
-        ) from None
+            "USAGE", f"--omega {text}",
+            "omega must be p1, p2, p3 or a finite positive number",
+        )
+    return value
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -101,8 +106,14 @@ def _common_provenance(args: argparse.Namespace) -> dict:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    path = _require_file(args.input)
+    # usage errors come before any file is read
+    omega = _parse_omega(args.omega)
+    if args.d is not None and args.d < 1:
+        raise CliError(
+            "USAGE", f"--d {args.d}", "the cluster count must be at least 1"
+        )
     _check_k0(args.k0)
+    path = _require_file(args.input)
     labels = None
     if args.labels:
         labels = load_labels(_require_file(args.labels))
@@ -118,7 +129,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         k0=args.k0,
         J0=args.j0,
         counts=counts,
-        omega=_parse_omega(args.omega),
+        omega=omega,
         d=args.d,
         seed=args.seed,
         restarts=args.restarts,
@@ -181,6 +192,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec = scenario_ii(p1=args.p1)
     else:
         raise CliError("USAGE", "simulate", "give --config FILE or --scenario I|II")
+    _check_k0(args.k0, spec.n)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     config = MonteCarloConfig(

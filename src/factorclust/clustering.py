@@ -25,6 +25,13 @@ squares is
     WCSS = sum_i ||x_i - c_label(i)||^2 = sum_i sq[i] - sum_c n_c ||c_c||^2,
 
 clipped at 0, so no m x q difference array is formed per iteration.
+
+The restarts of one ``kmeans`` call run in lockstep: each Lloyd iteration
+takes the distances of every restart still iterating from one GEMM of the
+points against all their centers, and their new centers from one stacked
+one-hot GEMM.  Seeding, the empty-cluster repair, the convergence test,
+the ``math.fsum`` WCSS and the choice of the best restart stay per
+restart; a restart whose labels settle leaves the batch.
 """
 
 from __future__ import annotations
@@ -228,48 +235,81 @@ def _candidate_inits(
     return inits
 
 
+def _repair_empty(
+    points: np.ndarray, centers: np.ndarray, labels: np.ndarray, d: int
+) -> np.ndarray:
+    """Reseed each empty cluster at the farthest point that is not the sole
+    member of its own cluster (m >= d guarantees one); updates ``centers``
+    and ``labels`` in place and returns the cluster sizes."""
+    while True:
+        counts = np.bincount(labels, minlength=d)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            return counts
+        c = int(empties[0])
+        gaps = np.sum((points - centers[labels]) ** 2, axis=1)
+        gaps[counts[labels] <= 1] = -1.0
+        far = int(np.argmax(gaps))
+        centers[c] = points[far]
+        labels[far] = c
+
+
 def _lloyd(
-    points: np.ndarray, sq: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Lloyd iterations with empty-cluster repair; stops when labels settle
-    or after ``DEFAULT_MAX_ITER`` iterations.  Returns the labels, the
-    centers and the WCSS trace, whose last value is the WCSS."""
-    m = points.shape[0]
-    d = centers.shape[0]
+    points: np.ndarray, sq: np.ndarray, inits: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, list[float]]]:
+    """Lloyd iterations with empty-cluster repair from every initial center
+    set at once; each run stops when its labels settle or after
+    ``DEFAULT_MAX_ITER`` iterations.  Returns, per initial set and in
+    order, the labels, the centers and the WCSS trace, whose last value is
+    the WCSS.
+
+    The A runs still iterating share one (m, A d) distance GEMM and one
+    stacked one-hot GEMM for their means; a run whose labels settle leaves
+    the batch.
+    """
+    m, q = points.shape
+    d = inits[0].shape[0]
     sq_total = float(sq.sum())
-    centers = centers.copy()
-    labels = np.full(m, -1, dtype=int)
-    trace: list[float] = []
+    centers = np.array(inits, dtype=float)            # (R, d, q)
+    labels = np.full((len(inits), m), -1, dtype=int)
+    traces: list[list[float]] = [[] for _ in inits]
+    active = np.arange(len(inits))
     for _ in range(DEFAULT_MAX_ITER):
+        a = active.size
+        cur = centers[active]
         d2 = (
-            sq[:, None]
-            - 2.0 * points @ centers.T
-            + np.sum(centers**2, axis=1)[None, :]
+            sq[:, None, None]
+            - 2.0 * (points @ cur.reshape(-1, q).T).reshape(m, a, d)
+            + np.sum(cur**2, axis=2)[None, :, :]
         )
-        new_labels = np.argmin(d2, axis=1)
-        # repair: reseed each empty cluster at the farthest point that is
-        # not the sole member of its own cluster (m >= d guarantees one)
-        while True:
-            counts = np.bincount(new_labels, minlength=d)
-            empties = np.flatnonzero(counts == 0)
-            if empties.size == 0:
-                break
-            c = int(empties[0])
-            gaps = np.sum((points - centers[new_labels]) ** 2, axis=1)
-            gaps[counts[new_labels] <= 1] = -1.0
-            far = int(np.argmax(gaps))
-            centers[c] = points[far]
-            new_labels[far] = c
-        if np.array_equal(new_labels, labels):
-            trace.append(trace[-1])
-            return labels, centers, trace
-        labels = new_labels
-        onehot = (labels[:, None] == np.arange(d)).astype(float)
-        centers = (onehot.T @ points) / counts[:, None]
-        # fsum: the value must not depend on how the clusters are numbered
-        explained = math.fsum(counts * np.sum(centers**2, axis=1))
-        trace.append(max(sq_total - explained, 0.0))
-    return labels, centers, trace
+        new_labels = np.ascontiguousarray(np.argmin(d2, axis=2).T)  # (a, m)
+        offsets = d * np.arange(a)[:, None]
+        counts = np.bincount(
+            (new_labels + offsets).ravel(), minlength=a * d
+        ).reshape(a, d)
+        for j in np.flatnonzero((counts == 0).any(axis=1)):
+            counts[j] = _repair_empty(points, cur[j], new_labels[j], d)
+        settled = (new_labels == labels[active]).all(axis=1)
+        for j in np.flatnonzero(settled):
+            run = int(active[j])
+            centers[run] = cur[j]
+            traces[run].append(traces[run][-1])
+        keep = np.flatnonzero(~settled)
+        if keep.size == 0:
+            break
+        active = active[keep]
+        new_labels = new_labels[keep]
+        counts = counts[keep]
+        onehot = np.zeros((m, keep.size * d))
+        onehot[np.arange(m)[None, :], new_labels + offsets[: keep.size]] = 1.0
+        means = (onehot.T @ points).reshape(keep.size, d, q) / counts[:, :, None]
+        centers[active] = means
+        labels[active] = new_labels
+        explained = counts * np.sum(means**2, axis=2)
+        for run, row in zip(active, explained):
+            # fsum: the value must not depend on how the clusters are numbered
+            traces[run].append(max(sq_total - math.fsum(row), 0.0))
+    return [(labels[i], centers[i], traces[i]) for i in range(len(inits))]
 
 
 def kmeans(
@@ -286,8 +326,9 @@ def kmeans(
     centers from its own child generator, first centers cycling through a
     seeded permutation of the points.  Ties in the best WCSS go to the
     earliest candidate; ``warm_centers``, when given, is evaluated before
-    all restarts.  Every run stops when its labels settle or after
-    ``DEFAULT_MAX_ITER`` Lloyd iterations.
+    all restarts.  All candidates iterate together (``_lloyd``); each one
+    stops when its labels settle or after ``DEFAULT_MAX_ITER`` Lloyd
+    iterations.
 
     Raises
     ------
@@ -313,8 +354,7 @@ def kmeans(
             )
         inits.append(warm)
     inits.extend(_candidate_inits(pts, sq, d, restarts, seed))
-    for init in inits:
-        labels, centers, trace = _lloyd(pts, sq, init)
+    for labels, centers, trace in _lloyd(pts, sq, inits):
         if best is None or trace[-1] < best.wcss:
             best = KMeansResult(
                 assignments=labels, centers=centers, wcss=trace[-1], wcss_trace=trace

@@ -141,13 +141,15 @@ def _open_text(source: str | Path | IO[str] | IO[bytes]) -> Iterator[IO[str]]:
 
 
 def _parse_cell(cell: str, row: int, col: int, col_name: str | None = None) -> float:
+    """``float(cell)``, or a ``PanelError`` naming the stripped cell and its
+    location."""
     where = f"row {row}, column {col}" + (f" ({col_name})" if col_name else "")
     try:
         value = float(cell)
     except ValueError:
-        raise PanelError(f"non-numeric cell {cell!r} at {where}") from None
+        raise PanelError(f"non-numeric cell {cell.strip()!r} at {where}") from None
     if not math.isfinite(value):
-        raise PanelError(f"non-finite cell {cell!r} at {where}")
+        raise PanelError(f"non-finite cell {cell.strip()!r} at {where}")
     return value
 
 
@@ -165,8 +167,90 @@ def _parse_row(
         values = None
     if values is None or not np.isfinite(values).all():
         for j, (cell, name) in enumerate(zip(cells, col_names)):
-            _parse_cell(cell.strip(), row, first_col + j, name)
+            _parse_cell(cell, row, first_col + j, name)
     return values
+
+
+def _body_lines(fh: IO[str]) -> Iterator[str]:
+    """Non-blank lines of ``fh``, for ``np.loadtxt``; ValueError at a line
+    holding a character that loadtxt would strip and ``float()`` rejects."""
+    for line in fh:
+        # loadtxt strips U+001C..U+001F from the ends of a cell like spaces
+        if any(c in line for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("separator character in a cell")
+        if line.strip():
+            yield line
+
+
+def _load_rows_as_time_fast(
+    fh: IO[str],
+) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """Header and (p, n) values of a rows-as-time CSV parsed in one C-level
+    pass, or None, with ``fh`` back where it was, for input the streaming
+    parser must read: anything ``np.loadtxt`` rejects, a ragged, blank-led
+    or non-finite panel, or fewer than 2 time points."""
+    try:
+        start = fh.tell()
+    except OSError:  # a text stream being iterated cannot report its position
+        return None
+    try:
+        first = next(csv.reader([fh.readline()]), None)
+        if first and any(c.strip() for c in first):
+            lines = _body_lines(fh)
+            # too few rows would make loadtxt warn about an empty input
+            head = list(itertools.islice(lines, 2))
+            if len(head) == 2:
+                body = np.loadtxt(
+                    itertools.chain(head, lines),
+                    delimiter=",", comments=None, ndmin=2, dtype=float,
+                )
+                if body.shape[1] == len(first) and np.isfinite(body).all():
+                    return tuple(c.strip() for c in first), body.T
+    except (ValueError, csv.Error):
+        pass
+    fh.seek(start)
+    return None
+
+
+def _load_streamed(
+    fh: IO[str], orientation: str
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Series ids and (p, n) values, parsed row by row with ``csv`` and
+    ``float()``; the parser that names every input error."""
+    rows = (r for r in csv.reader(fh) if r and any(c.strip() for c in r))
+    first = next(rows, None)
+    if first is None:
+        raise PanelError("empty CSV input")
+    block: list[np.ndarray] = []
+    if orientation == "rows-as-time":
+        header = [c.strip() for c in first]
+        p = len(header)
+        # too few time points is reported before any cell is parsed
+        head = list(itertools.islice(rows, 2))
+        if len(head) < 2:
+            raise PanelError(f"panel needs at least 2 time points, got {len(head)}")
+        for i, row in enumerate(itertools.chain(head, rows)):
+            if len(row) != p:
+                raise PanelError(
+                    f"ragged row {i + 2}: expected {p} cells, got {len(row)}"
+                )
+            block.append(_parse_row(row, i + 2, 1, header))
+        return tuple(header), np.array(block).T
+    else:
+        ids_list: list[str] = []
+        width = len(first)
+        if width < 3:
+            raise PanelError(f"panel needs at least 2 time points, got {width - 1}")
+        for i, row in enumerate(itertools.chain([first], rows)):
+            if len(row) != width:
+                raise PanelError(
+                    f"ragged row {i + 1}: expected {width} cells, got {len(row)}"
+                )
+            ids_list.append(row[0].strip())
+            block.append(
+                _parse_row(row[1:], i + 1, 2, itertools.repeat(ids_list[-1]))
+            )
+        return tuple(ids_list), np.array(block)
 
 
 def load_panel(
@@ -190,9 +274,16 @@ def load_panel(
     labels : dict, optional
         Mapping series_id -> category; attached where ids match.
 
-    Rows are streamed: each one is turned into floats as it is read, so
-    the cell strings of the whole file are never held at once.  Blank and
-    whitespace-only rows are skipped and do not count in row numbers.
+    A rows-as-time CSV on a seekable text source (a path always is one)
+    is first parsed in one C-level pass by ``np.loadtxt``.  Its result is
+    used only when the body is rectangular, has at least 2 rows, matches
+    the header and holds only finite values; otherwise the source is
+    rewound and the streaming parser reads it.  That parser also reads
+    every rows-as-series CSV and every non-seekable caller stream.  It
+    turns each row into floats with ``float()`` as the row is read, and it
+    alone names errors, so the accepted cells and every error text are
+    those of a per-cell ``float()`` parse.  Blank and whitespace-only rows
+    are skipped and do not count in row numbers.
 
     Raises
     ------
@@ -204,42 +295,12 @@ def load_panel(
     if orientation not in ("rows-as-time", "rows-as-series"):
         raise PanelError(f"unknown orientation {orientation!r}")
     with _open_text(source) as fh:
-        rows = (r for r in csv.reader(fh) if r and any(c.strip() for c in r))
-        first = next(rows, None)
-        if first is None:
-            raise PanelError("empty CSV input")
-        block: list[np.ndarray] = []
-        if orientation == "rows-as-time":
-            header = [c.strip() for c in first]
-            p = len(header)
-            # too few time points is reported before any cell is parsed
-            head = list(itertools.islice(rows, 2))
-            if len(head) < 2:
-                raise PanelError(f"panel needs at least 2 time points, got {len(head)}")
-            for i, row in enumerate(itertools.chain(head, rows)):
-                if len(row) != p:
-                    raise PanelError(
-                        f"ragged row {i + 2}: expected {p} cells, got {len(row)}"
-                    )
-                block.append(_parse_row(row, i + 2, 1, header))
-            values = np.array(block).T
-            ids = tuple(header)
-        else:
-            ids_list: list[str] = []
-            width = len(first)
-            if width < 3:
-                raise PanelError(f"panel needs at least 2 time points, got {width - 1}")
-            for i, row in enumerate(itertools.chain([first], rows)):
-                if len(row) != width:
-                    raise PanelError(
-                        f"ragged row {i + 1}: expected {width} cells, got {len(row)}"
-                    )
-                ids_list.append(row[0].strip())
-                block.append(
-                    _parse_row(row[1:], i + 1, 2, itertools.repeat(ids_list[-1]))
-                )
-            values = np.array(block)
-            ids = tuple(ids_list)
+        parsed = None
+        if orientation == "rows-as-time" and fh.seekable():
+            parsed = _load_rows_as_time_fast(fh)
+        if parsed is None:
+            parsed = _load_streamed(fh, orientation)
+    ids, values = parsed
 
     if values.shape[0] < 2:
         raise PanelError(f"panel needs at least 2 series, got {values.shape[0]}")

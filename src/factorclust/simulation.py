@@ -581,11 +581,15 @@ def read_scenario_config(path: str | Path) -> ScenarioSpec:
     default: n, d, p1, p_extra, r0, r_per_cluster, seed (int),
     noise_innovation_var (float), shuffle (true/false), ar_range, ma_range,
     factor_sd_range, loading_range (two comma-separated floats).
-    Lines starting with ``#`` are ignored.
+    Lines starting with ``#`` are ignored.  The file is read as UTF-8;
+    other bytes raise ``SimulationError``.
     """
     types = {f.name: type(f.default) for f in fields(ScenarioSpec)}
     kwargs: dict = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SimulationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):

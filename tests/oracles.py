@@ -3,15 +3,18 @@
 Everything here deliberately avoids the code paths of the package:
 covariances by explicit double loops over matrix entries, eigenpairs by
 cyclic Jacobi rotations, K-means by exhaustive enumeration of label
-vectors, and label matching by trying every bijection.  Slow but
-unambiguous.
+vectors, Lloyd's algorithm one restart at a time, and label matching by
+trying every bijection.  Slow but unambiguous.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
+
+from factorclust.clustering import DEFAULT_MAX_ITER
 
 
 def lag_autocov_oracle(values: np.ndarray, k: int) -> np.ndarray:
@@ -125,6 +128,54 @@ def kmeans_oracle(points: np.ndarray, d: int) -> tuple[float, np.ndarray]:
     wcss = total - explained
     best = int(np.argmin(wcss))
     return float(wcss[best]), codes[best]
+
+
+def lloyd_oracle(
+    points: np.ndarray, sq: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Lloyd iterations with empty-cluster repair; stops when labels settle
+    or after ``DEFAULT_MAX_ITER`` iterations.  Returns the labels, the
+    centers and the WCSS trace, whose last value is the WCSS.
+
+    The package's single-restart loop from before its restarts ran in
+    lockstep, kept verbatim as the per-restart reference.
+    """
+    m = points.shape[0]
+    d = centers.shape[0]
+    sq_total = float(sq.sum())
+    centers = centers.copy()
+    labels = np.full(m, -1, dtype=int)
+    trace: list[float] = []
+    for _ in range(DEFAULT_MAX_ITER):
+        d2 = (
+            sq[:, None]
+            - 2.0 * points @ centers.T
+            + np.sum(centers**2, axis=1)[None, :]
+        )
+        new_labels = np.argmin(d2, axis=1)
+        # repair: reseed each empty cluster at the farthest point that is
+        # not the sole member of its own cluster (m >= d guarantees one)
+        while True:
+            counts = np.bincount(new_labels, minlength=d)
+            empties = np.flatnonzero(counts == 0)
+            if empties.size == 0:
+                break
+            c = int(empties[0])
+            gaps = np.sum((points - centers[new_labels]) ** 2, axis=1)
+            gaps[counts[new_labels] <= 1] = -1.0
+            far = int(np.argmax(gaps))
+            centers[c] = points[far]
+            new_labels[far] = c
+        if np.array_equal(new_labels, labels):
+            trace.append(trace[-1])
+            return labels, centers, trace
+        labels = new_labels
+        onehot = (labels[:, None] == np.arange(d)).astype(float)
+        centers = (onehot.T @ points) / counts[:, None]
+        # fsum: the value must not depend on how the clusters are numbered
+        explained = math.fsum(counts * np.sum(centers**2, axis=1))
+        trace.append(max(sq_total - explained, 0.0))
+    return labels, centers, trace
 
 
 def misclassification_oracle(assignments, truth) -> int:

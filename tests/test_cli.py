@@ -148,8 +148,21 @@ class TestClusterCommand:
                      "--omega", "nan", "--out", str(out)])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("E_CLUSTERING: cluster:")
+        assert len(lines) == 1 and lines[0].startswith("E_USAGE: --omega nan:")
         assert not (out / "clustering_result.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--omega", "nan"), ("--omega", "0"), ("--omega", "-1"),
+                        ("--omega", "inf"), ("--d", "0")],
+    )
+    def test_usage_checked_before_input(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        code = main(["cluster", str(tmp_path / "nope.csv"), flag, value,
+                     "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"E_USAGE: {flag} {value}: ")
+        assert not out.exists()
 
 
 class TestFactorCountCommand:
@@ -243,6 +256,24 @@ class TestSimulateCommand:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"E_CONFIG: simulate: {cfg}:2: d: invalid value 'abc'"]
+
+    def test_non_utf8_config_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n=300\n# caf\xe9\nd=2\n")
+        code = main(["simulate", "--config", str(cfg), "--reps", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"E_CONFIG: simulate: {cfg}: not UTF-8 text: "
+                         "invalid continuation byte"]
+
+    def test_k0_checked_before_replications(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", "I", "--p1", "4", "--reps", "2",
+                     "--k0", "-1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["E_USAGE: --k0 -1: the largest lag must be at least 0"]
+        assert not (tmp_path / "out").exists()
 
     def test_needs_config_or_scenario(self, tmp_path, capsys):
         code = main(["simulate", "--reps", "1", "--out", str(tmp_path)])

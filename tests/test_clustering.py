@@ -20,7 +20,14 @@ from factorclust import (
     wcss_curve,
 )
 
-from oracles import jacobi_eigh, kmeans_oracle, partition_sets, similarity_oracle
+from factorclust.clustering import _candidate_inits, _lloyd, _split_farthest
+from oracles import (
+    jacobi_eigh,
+    kmeans_oracle,
+    lloyd_oracle,
+    partition_sets,
+    similarity_oracle,
+)
 
 
 class TestOmegaThreshold:
@@ -238,6 +245,106 @@ class TestKMeans:
             assert all(
                 values[i + 1] <= values[i] + 1e-9 for i in range(len(values) - 1)
             )
+
+
+def _blobs(m, q, centers, seed, spread=0.6):
+    rng = np.random.default_rng(seed)
+    means = 3.0 * rng.standard_normal((centers, q))
+    return means[rng.integers(0, centers, m)] + spread * rng.standard_normal((m, q))
+
+
+def _duplicates(m, q, seed):
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((max(2, m // 3), q))
+    return base[rng.integers(0, len(base), m)]
+
+
+def _winner(wcss):
+    """Index ``kmeans`` keeps: the smallest WCSS, the earliest on a tie."""
+    return min(range(len(wcss)), key=lambda i: (wcss[i], i))
+
+
+def _warm_inits(pts, d, seed):
+    """``wcss_curve``'s candidates at d: the split of the d - 1 fit first."""
+    warm = _split_farthest(pts, kmeans(pts, d - 1, restarts=20, seed=seed))
+    sq = np.sum(pts**2, axis=1)
+    return [warm] + _candidate_inits(pts, sq, d, 20, seed + 1)
+
+
+def _far_center_inits(pts, d, seed):
+    """Spread seeds plus one set with a center no point is nearest to, so
+    the empty-cluster repair fires on the first iteration."""
+    sq = np.sum(pts**2, axis=1)
+    inits = _candidate_inits(pts, sq, d, 8, seed)
+    far = inits[0].copy()
+    far[-1] = 1e3
+    return [far] + inits
+
+
+LOCKSTEP_CASES = {
+    # spread seeding, restarts that settle at different iterations
+    "spread": lambda: (_blobs(150, 6, 5, 1), 5, None),
+    "warm_start": lambda: (_blobs(120, 4, 6, 2), 4, "warm"),
+    "repair_far_center": lambda: (_blobs(60, 3, 4, 3), 4, "far"),
+    "d_is_1": lambda: (_blobs(300, 5, 3, 4), 1, None),
+    "d_is_m": lambda: (_blobs(7, 2, 3, 5), 7, None),
+    "exhaustive_subsets": lambda: (_blobs(10, 2, 3, 6), 3, None),
+    "duplicates": lambda: (_duplicates(40, 3, 7), 6, None),
+    "duplicates_exhaustive": lambda: (_duplicates(9, 2, 8), 4, None),
+}
+
+
+class TestLockstepLloyd:
+    """All restarts in one batch equal one restart at a time."""
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_matches_per_restart_reference(self, case):
+        pts, d, kind = LOCKSTEP_CASES[case]()
+        sq = np.sum(pts**2, axis=1)
+        if kind == "warm":
+            inits = _warm_inits(pts, d, seed=11)
+        elif kind == "far":
+            inits = _far_center_inits(pts, d, seed=12)
+        else:
+            inits = _candidate_inits(pts, sq, d, 20, seed=13)
+        got = _lloyd(pts, sq, inits)
+        want = [lloyd_oracle(pts, sq, init) for init in inits]
+        assert len(got) == len(want) == len(inits)
+        for (labels, centers, trace), (w_labels, w_centers, w_trace) in zip(
+            got, want
+        ):
+            np.testing.assert_array_equal(labels, w_labels)
+            assert len(trace) == len(w_trace)
+            np.testing.assert_allclose(trace, w_trace, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(centers, w_centers, rtol=1e-12, atol=1e-12)
+        assert _winner([t[-1] for *_, t in got]) == _winner([t[-1] for *_, t in want])
+
+    def test_cases_cover_the_paths(self):
+        # the batch must see restarts leave at different iterations, the
+        # repair, and the exhaustive-subset path
+        pts, d, _ = LOCKSTEP_CASES["spread"]()
+        sq = np.sum(pts**2, axis=1)
+        runs = _lloyd(pts, sq, _candidate_inits(pts, sq, d, 20, 13))
+        assert len({len(trace) for *_, trace in runs}) > 1
+        pts, d, _ = LOCKSTEP_CASES["repair_far_center"]()
+        init = _far_center_inits(pts, d, seed=12)[0]
+        gaps = np.sum((pts[:, None, :] - init[None, :, :]) ** 2, axis=2)
+        assert np.bincount(np.argmin(gaps, axis=1), minlength=d).min() == 0
+        pts, d, _ = LOCKSTEP_CASES["exhaustive_subsets"]()
+        sq = np.sum(pts**2, axis=1)
+        assert len(_candidate_inits(pts, sq, d, 20, 13)) == math.comb(10, 3)
+
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_kmeans_keeps_the_reference_winner(self, case):
+        pts, d, _ = LOCKSTEP_CASES[case]()
+        sq = np.sum(pts**2, axis=1)
+        inits = _candidate_inits(pts, sq, d, 20, 13)
+        want = [lloyd_oracle(pts, sq, init) for init in inits]
+        best = want[_winner([t[-1] for *_, t in want])]
+        fit = kmeans(pts, d, restarts=20, seed=13)
+        np.testing.assert_array_equal(fit.assignments, best[0])
+        assert fit.wcss == pytest.approx(best[2][-1], rel=1e-12)
+        assert len(fit.wcss_trace) == len(best[2])
 
 
 def _first_seen_labels(assignments) -> str:

@@ -1,7 +1,11 @@
+import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from factorclust import (
     PanelError,
@@ -12,7 +16,12 @@ from factorclust import (
     pooled_matrix,
 )
 
-from factorclust.panel import lag_autocov_sequence, lag_stack
+from factorclust import panel as panel_module
+from factorclust.panel import (
+    _load_rows_as_time_fast,
+    lag_autocov_sequence,
+    lag_stack,
+)
 from oracles import lag_autocov_oracle, pooled_oracle
 
 
@@ -221,6 +230,193 @@ class TestLoadPanelContract:
         with pytest.raises(PanelError) as info:
             load_panel(io.StringIO(text), orientation=orientation)
         assert str(info.value) == message
+
+
+class _OneWayBytes(io.BytesIO):
+    """A byte stream that cannot seek, like a pipe."""
+
+    def seekable(self):
+        return False
+
+
+def _outcome(load):
+    """(values, ids) of a load, or the type and text of its error."""
+    try:
+        panel = load()
+    except (PanelError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return panel.values, panel.series_ids
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    values, ids = got
+    assert ids == want[1]
+    assert values.shape == want[0].shape
+    assert values.tobytes(order="A") == want[0].tobytes(order="A")
+    assert values.flags.f_contiguous == want[0].flags.f_contiguous
+
+
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_PLAIN_CELL = st.one_of(_NUMBER.map(repr), _NUMBER.map(lambda v: "%.6g" % v))
+_ODD_CELL = st.sampled_from([
+    "nan", "-inf", "Infinity", "1_0", "\u0661", "0x10", "nan(123)", "1d5",
+    "1\x00", "1e+", "", " ", "x", "+.5", "5.", "1E5", "--1", "1 2",
+])
+_PAD = st.sampled_from(
+    ["", " ", "\t", "\x0b", "\x0c", "\xa0", "\u2003", "\x85", "\x1c", "\x1f"]
+)
+_BLANK_ROW = st.sampled_from(["", "  ", "\t", " , ", ","])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Rows-as-time CSV text: mostly clean numbers, sometimes odd cells,
+    padding, quoting, blank rows and any of the three line endings."""
+    clean = draw(st.booleans())
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quote = draw(st.booleans()) and not clean
+
+    def cell(value):
+        if quote and draw(st.booleans()):
+            return f'"{value}"'
+        return value
+
+    lines = [",".join(cell(f"s{j}") for j in range(p))]
+    for _ in range(n):
+        width = p if clean or draw(st.integers(0, 9)) else draw(st.integers(1, 5))
+        cells = []
+        for _ in range(width):
+            value = draw(_PLAIN_CELL if clean or draw(st.integers(0, 9)) else _ODD_CELL)
+            if not clean:
+                value = draw(_PAD) + value + draw(_PAD)
+            cells.append(cell(value))
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_BLANK_ROW))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+class TestLoadPanelFastPath:
+    """The C-level parse of a rows-as-time body gives what the streaming
+    parser gives: the same bits and ids, or the same error."""
+
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fast") / "panel.csv"
+
+    @pytest.mark.filterwarnings("error")
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=_csv_texts())
+    def test_matches_streaming_parser(self, csv_path, text):
+        data = text.encode()
+        csv_path.write_bytes(data)
+        with mock.patch.object(panel_module, "_load_rows_as_time_fast", return_value=None):
+            want = _outcome(lambda: load_panel(csv_path))
+        for source in (csv_path, io.BytesIO(data), _OneWayBytes(data)):
+            _assert_same_outcome(_outcome(lambda: load_panel(source)), want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n1,2,3\n4,5,6\n",       # rectangular body wider than the header
+            "a,b,c\n1,2\n4,5\n",         # narrower
+            " , \n1,2\n3,4\n5,6\n",      # blank-looking first line
+            "\na,b\n1,2\n3,4\n",          # blank first line
+            "a,b\n\n \n\t\n",            # header and blank lines only
+            "a,b\n1,2\n\n",              # one time point
+            "a,b\n1,2\n , \n3,4\n",       # whitespace-only row between
+            '"a","b"\n1,2\n3,4\n',        # quoted header
+            '"a\nb",c\n1,2\n3,4\n',       # header cell spanning two lines
+            'a,b\n"1",2\n3,4\n',          # quoted cell
+            "a,b\n1,2\n3,inf\n",          # non-finite value
+        ],
+    )
+    def test_fallback_cases_match_streaming_parser(self, tmp_path, text):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(panel_module, "_load_rows_as_time_fast", return_value=None):
+            want = _outcome(lambda: load_panel(path))
+        _assert_same_outcome(_outcome(lambda: load_panel(path)), want)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("as_path", [True, False])
+    def test_clean_body_takes_the_fast_path(self, tmp_path, eol, as_path):
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-5, 6, (7, 4))
+        rows = ["a,b,c,d"] + [",".join("%.17g" % v for v in row) for row in data]
+        raw = (eol.join(rows[:3]) + eol + eol + eol.join(rows[3:]) + eol).encode()
+        path = tmp_path / "panel.csv"
+        path.write_bytes(raw)
+        source = path if as_path else io.BytesIO(raw)
+        with mock.patch.object(panel_module, "_load_streamed", side_effect=AssertionError):
+            panel = load_panel(source)
+        np.testing.assert_array_equal(panel.values, data.T)
+        assert panel.values.flags.f_contiguous
+        assert panel.series_ids == ("a", "b", "c", "d")
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["0x10", "nan(123)", "1d5", "1\x00", "1e+", "1_0", "\u0661",
+         "\x1c1", "1\x1d", "\x1e1", "1\x1f", " 1\x1c ", "nan", "inf"],
+    )
+    def test_fast_path_accepts_no_cell_float_rejects(self, cell):
+        text = f"a,b\n{cell},1\n1,1\n"
+        fast = _load_rows_as_time_fast(io.StringIO(text, newline=""))
+        try:
+            value = float(cell)
+        except ValueError:
+            value = None
+        if fast is None or value is None:
+            assert fast is None
+        else:
+            assert fast[1][0, 0] == value
+        with mock.patch.object(panel_module, "_load_rows_as_time_fast", return_value=None):
+            want = _outcome(lambda: load_panel(io.StringIO(text)))
+        _assert_same_outcome(_outcome(lambda: load_panel(io.StringIO(text))), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cell=st.tuples(
+            st.text(st.characters(blacklist_characters=",\r\n"), max_size=3),
+            st.sampled_from(["1", "-2.5", "3e-7", ".5", "nan", "inf", "", "1_0"]),
+            st.text(st.characters(blacklist_characters=",\r\n"), max_size=3),
+        ).map("".join)
+    )
+    def test_fast_path_cells_parse_as_float(self, cell):
+        fast = _load_rows_as_time_fast(io.StringIO(f"a,b\n{cell},1\n1,1\n", newline=""))
+        if fast is not None:
+            assert np.float64(float(cell)).tobytes() == fast[1][0, 0].tobytes()
+
+    def test_separator_padded_cell_is_a_panel_error(self):
+        # str.strip drops U+001C, float() does not: the cell is rejected
+        with pytest.raises(PanelError, match=r"^non-numeric cell '1' at row 2, column 1"):
+            load_panel(io.StringIO("a,b\n1\x1c,0\n2,1\n"))
+
+    def test_text_file_mid_iteration(self, tmp_path):
+        # next() on a text file disables tell(); the streaming parser reads on
+        path = tmp_path / "panel.csv"
+        path.write_text("# exported\na,b\n1,0\n2,1\n")
+        with open(path, newline="") as fh:
+            next(fh)
+            panel = load_panel(fh)
+        np.testing.assert_array_equal(panel.values, [[1.0, 2.0], [0.0, 1.0]])
+
+    def test_non_seekable_stream_is_streamed(self):
+        raw = b"a,b\n1,0\n2,1\n"
+        with mock.patch.object(panel_module, "_load_rows_as_time_fast") as fast:
+            panel = load_panel(_OneWayBytes(raw))
+            load_panel(io.BytesIO(b"a,1,2\nb,0,1\n"), orientation="rows-as-series")
+        fast.assert_not_called()
+        np.testing.assert_array_equal(panel.values, [[1.0, 2.0], [0.0, 1.0]])
 
 
 class TestLagAutocov:
