@@ -9,7 +9,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = [
     "EvaluationError",
@@ -88,6 +87,10 @@ def misclassification_count(assignments: Sequence[int], truth: Sequence[int]) ->
     between the two label sets, also when they differ in size.  Any number of
     distinct labels is accepted on either side.
     """
+    # imported here: scipy.optimize takes about 0.45 s to load, and only
+    # the evaluation of a known truth needs it
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(assignments)
     t = np.asarray(truth)
     if a.shape != t.shape or a.ndim != 1:

@@ -212,12 +212,31 @@ def _load_rows_as_time_fast(
     return None
 
 
+def _csv_rows(fh: IO[str]) -> Iterator[list[str]]:
+    """Non-blank CSV rows of ``fh``; a row the ``csv`` module cannot read
+    (a lone carriage return in a stream that does not split lines there,
+    an over-long cell) raises ``PanelError`` naming its row number, with
+    blank rows not counted."""
+    reader = csv.reader(fh)
+    row = 0
+    while True:
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise PanelError(f"unreadable CSV row {row + 1}: {exc}") from None
+        if cells and any(c.strip() for c in cells):
+            row += 1
+            yield cells
+
+
 def _load_streamed(
     fh: IO[str], orientation: str
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Series ids and (p, n) values, parsed row by row with ``csv`` and
     ``float()``; the parser that names every input error."""
-    rows = (r for r in csv.reader(fh) if r and any(c.strip() for c in r))
+    rows = _csv_rows(fh)
     first = next(rows, None)
     if first is None:
         raise PanelError("empty CSV input")
@@ -288,7 +307,8 @@ def load_panel(
     Raises
     ------
     PanelError
-        On input that is not UTF-8, ragged rows, non-numeric cells
+        On input that is not UTF-8, a row the ``csv`` module cannot read
+        (reported with its row number), ragged rows, non-numeric cells
         (reported with row/column location), or fewer than 2 series / 2
         time points.
     """
@@ -317,7 +337,7 @@ def load_labels(source: str | Path | IO[str] | IO[bytes]) -> dict[str, str]:
     header and skipped.
     """
     with _open_text(source) as fh:
-        rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+        rows = list(_csv_rows(fh))
     mapping: dict[str, str] = {}
     for i, row in enumerate(rows):
         if len(row) != 2:

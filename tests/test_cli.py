@@ -309,3 +309,15 @@ def test_module_entry_point_help():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "cluster" in done.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only label matching against a known truth needs scipy.optimize
+    src = str(Path(factorclust.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys, factorclust.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

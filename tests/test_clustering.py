@@ -1,7 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
+
+import factorclust
 
 from factorclust import (
     ClusteringError,
@@ -20,7 +29,13 @@ from factorclust import (
     wcss_curve,
 )
 
-from factorclust.clustering import _candidate_inits, _lloyd, _split_farthest
+from factorclust import clustering as clustering_module
+from factorclust.clustering import (
+    _candidate_inits,
+    _lloyd,
+    _split_farthest,
+    _symmetrize,
+)
 from oracles import (
     jacobi_eigh,
     kmeans_oracle,
@@ -124,6 +139,164 @@ class TestClusterUpperBound:
     def test_small_n_rejected(self):
         with pytest.raises(ClusteringError, match="n"):
             cluster_upper_bound(np.eye(4), 2)
+
+
+def _dense_count(b, n):
+    """The count from the full spectrum of |B B^T|, built as it always was."""
+    s = np.abs(b @ b.T)
+    s = (s + s.T) / 2.0
+    return int(np.count_nonzero(np.linalg.eigvalsh(s) > 1.0 - 1.0 / math.log(n)))
+
+
+def _grouped_loadings(p, r, groups, kind, duplicates, seed):
+    """(p, r) loadings whose rows cluster around ``groups`` directions:
+    orthonormal columns, or plain rows of about the same size; with
+    ``duplicates`` the last rows repeat earlier ones."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(groups, size=p)
+    b = rng.standard_normal((groups, r))[labels] + 0.3 * rng.standard_normal((p, r))
+    if kind == "orthonormal" and r > 0:
+        b, _ = np.linalg.qr(b)
+    else:
+        b *= rng.uniform(0.5, 1.5) / math.sqrt(p)
+    if duplicates:
+        b[p - duplicates:] = b[:duplicates]
+    return b
+
+
+class _Spy:
+    """Wraps a function and records each result."""
+
+    def __init__(self, fn):
+        self.fn, self.results = fn, []
+
+    def __call__(self, *args, **kwargs):
+        out = self.fn(*args, **kwargs)
+        self.results.append(out)
+        return out
+
+
+@pytest.fixture()
+def spies(monkeypatch):
+    eigsh = _Spy(clustering_module.eigsh)
+    eigvalsh = _Spy(np.linalg.eigvalsh)
+    monkeypatch.setattr(clustering_module, "eigsh", eigsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return eigsh, eigvalsh
+
+
+def _diagonal_loadings(p, values):
+    """Loadings with orthogonal rows, so |B B^T| = diag(values, 0, ...)."""
+    b = np.zeros((p, len(values)))
+    b[np.arange(len(values)), np.arange(len(values))] = np.sqrt(values)
+    return b
+
+
+def _arpack_no_convergence(s, k, **kwargs):
+    raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+
+class TestClusterUpperBoundPartialSpectrum:
+    """The Lanczos count under the Frobenius bound equals the full-spectrum
+    count, and each fallback to the full spectrum is taken."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        p=st.integers(20, 600),
+        r=st.integers(0, 16),
+        groups=st.integers(1, 12),
+        kind=st.sampled_from(["orthonormal", "plain"]),
+        dup_share=st.sampled_from([0.0, 0.1, 0.5]),
+        n=st.sampled_from([3, 30, 250, 1259, 10**6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_full_spectrum_count(self, p, r, groups, kind, dup_share, n, seed):
+        b = _grouped_loadings(p, r, groups, kind, int(dup_share * p), seed)
+        assert cluster_upper_bound(b, n) == _dense_count(b, n)
+
+    @pytest.mark.parametrize("p, dense", [(600, False), (20, True)])
+    def test_path_follows_the_size_rule(self, spies, p, dense):
+        eigsh, eigvalsh = spies
+        b = _grouped_loadings(p, 8, 4, "orthonormal", 0, seed=3)
+        got = cluster_upper_bound(b, 250)
+        assert bool(eigvalsh.results) == dense
+        assert bool(eigsh.results) != dense
+        assert got == _dense_count(b, 250)
+
+    @pytest.mark.parametrize("offset, dense", [(1e-14, True), (-1e-14, True), (1e-3, False)])
+    def test_ritz_value_near_the_cut_takes_the_full_spectrum(self, spies, offset, dense):
+        eigsh, eigvalsh = spies
+        n = 250
+        c = 1.0 - 1.0 / math.log(n)
+        b = _diagonal_loadings(200, [c + offset, 0.5, 0.3, 0.2])
+        got = cluster_upper_bound(b, n)
+        (ritz,) = eigsh.results
+        near = np.abs(ritz - c).min() <= clustering_module.RITZ_MARGIN
+        assert near == dense
+        assert len(eigvalsh.results) == int(dense)
+        assert got == _dense_count(b, n)
+
+    @pytest.mark.parametrize("fake_eigsh", [
+        lambda s, k, **kwargs: np.full(k, 0.99),  # even the k-th Ritz value is above c
+        _arpack_no_convergence,
+    ])
+    def test_arpack_answer_not_trusted_takes_the_full_spectrum(self, monkeypatch, fake_eigsh):
+        b = _grouped_loadings(600, 8, 4, "orthonormal", 0, seed=3)
+        want = _dense_count(b, 250)
+        eigvalsh = _Spy(np.linalg.eigvalsh)
+        monkeypatch.setattr(clustering_module, "eigsh", fake_eigsh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert cluster_upper_bound(b, 250) == want
+        assert len(eigvalsh.results) == 1
+
+    def test_no_columns(self, spies):
+        # S = 0: ARPACK reports an error, the full spectrum counts nothing
+        eigsh, eigvalsh = spies
+        assert cluster_upper_bound(np.zeros((300, 0)), 250) == 0
+        assert not eigsh.results and len(eigvalsh.results) == 1
+
+    @pytest.mark.parametrize("p", [4, 20])
+    def test_k_at_least_p_takes_the_full_spectrum(self, spies, p):
+        eigsh, eigvalsh = spies
+        b = np.eye(p)[:, : p - 1]
+        # ||S||_F^2 = p - 1, so k = floor((p - 1) / c^2) + 1 >= p
+        assert cluster_upper_bound(b, 10**6) == p - 1
+        assert not eigsh.results and len(eigvalsh.results) == 1
+
+    @pytest.mark.parametrize("p", [1, 5, 127, 128, 129, 300])
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    def test_blockwise_symmetrize_is_bit_identical(self, p, block):
+        a = np.random.default_rng(p).standard_normal((p, p)) * 10.0 ** np.arange(p)[:, None] % 7
+        s = a.copy()
+        _symmetrize(s, block)
+        np.testing.assert_array_equal(s, (a + a.T) / 2.0)
+
+    def test_blas_thread_count_leaves_d_hat_unchanged(self):
+        # the wide benchmark shape: 1000 series over 250 days
+        script = (
+            "import math\n"
+            "import numpy as np\n"
+            "from factorclust import *\n"
+            "spec = ScenarioSpec(n=250, d=10, p1=60, p_extra=400, seed=0)\n"
+            "panel, _ = generate_scenario(spec)\n"
+            "report = cumulative_ratio_sequence(panel, k0=5, J0=50)\n"
+            "r0, r = select_factor_counts(report)\n"
+            "strong = estimate_strong_loadings(panel, k0=5, r0=r0)\n"
+            "weak = estimate_weak_loadings(panel, strong, k0=5, r=r)\n"
+            "s = np.abs(weak.matrix @ weak.matrix.T)\n"
+            "dense = np.linalg.eigvalsh((s + s.T) / 2.0) > 1.0 - 1.0 / math.log(panel.n)\n"
+            "print(cluster_upper_bound(weak, panel.n), np.count_nonzero(dense))\n"
+        )
+        src = str(Path(factorclust.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.split())
+        assert outputs[0] == outputs[1] == ["10", "10"]
 
 
 class TestSimilarityMatrix:

@@ -419,6 +419,47 @@ class TestLoadPanelFastPath:
         np.testing.assert_array_equal(panel.values, [[1.0, 2.0], [0.0, 1.0]])
 
 
+class TestUnreadableCsvRow:
+    """A row the ``csv`` module cannot read is a PanelError naming the row."""
+
+    CR_ONLY = {
+        "rows-as-time": "a,b\r1,2\r3,4\r",
+        "rows-as-series": "a,1,2\rb,3,4\r",
+    }
+    LONG_CELL = {
+        "rows-as-time": ("a,b\n\n1,2\n3," + "9" * 200_000 + "\n", 3),
+        "rows-as-series": ("a,1,2\n\nb,3," + "9" * 200_000 + "\n", 2),
+    }
+
+    @pytest.mark.parametrize("orientation", ["rows-as-time", "rows-as-series"])
+    def test_lone_carriage_returns_in_a_text_stream(self, orientation):
+        # a StringIO splits lines at "\n" only, so csv sees "\r" mid-line
+        with pytest.raises(PanelError, match=r"^unreadable CSV row 1: new-line character"):
+            load_panel(io.StringIO(self.CR_ONLY[orientation]), orientation=orientation)
+
+    @pytest.mark.parametrize("orientation", ["rows-as-time", "rows-as-series"])
+    def test_lone_carriage_returns_in_bytes_end_lines(self, orientation):
+        # bytes decode with newline="", which ends a line at a lone "\r"
+        raw = self.CR_ONLY[orientation].encode()
+        got = load_panel(io.BytesIO(raw), orientation=orientation)
+        want = load_panel(io.StringIO(raw.decode().replace("\r", "\n")),
+                          orientation=orientation)
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.series_ids == want.series_ids
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    @pytest.mark.parametrize("orientation", ["rows-as-time", "rows-as-series"])
+    def test_cell_over_the_csv_field_limit(self, orientation, as_bytes):
+        text, row = self.LONG_CELL[orientation]
+        buf = io.BytesIO(text.encode()) if as_bytes else io.StringIO(text)
+        with pytest.raises(PanelError, match=rf"^unreadable CSV row {row}: field larger"):
+            load_panel(buf, orientation=orientation)
+
+    def test_labels_sidecar(self):
+        with pytest.raises(PanelError, match=r"^unreadable CSV row 2:"):
+            load_labels(io.StringIO("series_id,label\na,b\rc,d\n"))
+
+
 class TestLagAutocov:
     def test_constant_panel_is_zero(self):
         panel = TimeSeriesPanel(values=np.full((3, 10), 5.0))
