@@ -142,11 +142,12 @@ def detect_no_cluster(weak, omega: float) -> np.ndarray:
     return np.flatnonzero(norms <= omega)
 
 
-def _symmetrize(s: np.ndarray, block: int = 128) -> None:
+def _symmetrize(s: np.ndarray) -> None:
     """Replace square ``s`` by (s + s^T) / 2 in place, bit for bit, through
-    temporaries of at most ``block`` rows: ``s += s.T`` would copy all of
-    s^T first."""
+    temporaries of at most 128 rows: ``s += s.T`` would copy all of s^T
+    first."""
     p = s.shape[0]
+    block = 128
     for i in range(0, p, block):
         j = min(i + block, p)
         # rows i:j and columns i:j left of column j still hold their inputs
@@ -184,8 +185,8 @@ def cluster_upper_bound(weak, n: int) -> int:
         try:
             ritz = eigsh(s, k, which="LA", v0=np.ones(p), return_eigenvectors=False)
         except ArpackError:
-            ritz = None
-        if ritz is not None:
+            pass
+        else:
             margin = RITZ_MARGIN * max(1.0, float(ritz.max()))
             if ritz.min() <= c and np.all(np.abs(ritz - c) > margin):
                 return int(np.count_nonzero(ritz > c))

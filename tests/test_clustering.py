@@ -264,11 +264,10 @@ class TestClusterUpperBoundPartialSpectrum:
         assert not eigsh.results and len(eigvalsh.results) == 1
 
     @pytest.mark.parametrize("p", [1, 5, 127, 128, 129, 300])
-    @pytest.mark.parametrize("block", [1, 7, 128])
-    def test_blockwise_symmetrize_is_bit_identical(self, p, block):
+    def test_blockwise_symmetrize_is_bit_identical(self, p):
         a = np.random.default_rng(p).standard_normal((p, p)) * 10.0 ** np.arange(p)[:, None] % 7
         s = a.copy()
-        _symmetrize(s, block)
+        _symmetrize(s)
         np.testing.assert_array_equal(s, (a + a.T) / 2.0)
 
     def test_blas_thread_count_leaves_d_hat_unchanged(self):
