@@ -302,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=None,
                     help="master seed (overrides the config seed)")
     ps.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers; the result does not depend on it")
+                    help="parallel workers, the only parallelism: each "
+                         "replication runs on one BLAS thread; the result does "
+                         "not depend on it")
     ps.add_argument("--estimated-counts", action="store_true",
                     help="also evaluate the pipeline with estimated counts")
     add_tuning(ps)

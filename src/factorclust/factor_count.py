@@ -221,14 +221,17 @@ def cumulative_ratio_sequence(
     """
     p, n = panel.p, panel.n
     J0 = _checked_j0(J0, p)
-    covs = lag_stack(panel, k0).covs
+    # allocated before the lag stack, which is freed before the report is
+    # built (see loadings._top_eigenvectors)
     eigs = np.zeros((k0 + 1, p))
+    covs = lag_stack(panel, k0).covs
     try:
         for k, cov in enumerate(covs):
             # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
             eigs[k, : len(cov)] = np.linalg.svd(cov, compute_uv=False) ** 2
     except np.linalg.LinAlgError as exc:
         raise FactorCountError(f"eigen-solver failure at lag {k}: {exc}") from exc
+    del covs, cov
     weights = 1.0 - np.arange(k0 + 1) / n
     return _ratio_report(weights @ eigs, J0, k0, n, eigs, "cumulative")
 

@@ -70,21 +70,28 @@ class LoadingMatrix:
 
 
 def _orient_columns(vectors: np.ndarray) -> np.ndarray:
-    """Fix eigenvector signs: largest-magnitude entry positive, ties by lowest index."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
+    """Fix eigenvector signs in place: largest-magnitude entry positive, ties
+    by lowest index; returns ``vectors``."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
         i = int(np.argmax(np.abs(col)))
         if col[i] < 0:
-            out[:, j] = -col
-    return out
+            vectors[:, j] = -col
+    return vectors
 
 
 def _top_eigenvectors(
-    sym: np.ndarray, r: int, what: str, basis: np.ndarray | None
+    sym: np.ndarray, r: int, what: str, basis: np.ndarray | None, out: np.ndarray
 ) -> np.ndarray:
     """Leading r eigenvectors of a symmetric matrix, descending, lifted by
-    ``basis`` (if given) and sign-fixed."""
+    ``basis`` (if given) and sign-fixed, written into ``out`` and returned.
+
+    The callers allocate ``out`` before the lag stack and wrap it after the
+    stack is freed.  A result allocated while the stack's p x n blocks are
+    live can land above them in the heap and keep the allocator from
+    returning their pages, and whether it does varies from process to
+    process.
+    """
     try:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -102,7 +109,11 @@ def _top_eigenvectors(
                 stacklevel=3,
             )
     vecs = eigvecs[:, :r]
-    return _orient_columns(vecs if basis is None else basis @ vecs)
+    if basis is None:
+        out[...] = vecs
+    else:
+        np.matmul(basis, vecs, out=out)
+    return _orient_columns(out)
 
 
 def estimate_strong_loadings(
@@ -120,9 +131,11 @@ def estimate_strong_loadings(
     m = min(panel.p, panel.n)
     if not 1 <= r0 < m:
         raise LoadingError(f"r0={r0} outside [1, {m - 1}]")
+    vecs = np.empty((panel.p, r0))
     stack = lag_stack(panel, k0)
     pooled = pooled_matrix_from_covs(stack.covs)
-    vecs = _top_eigenvectors(pooled, r0, "strong loadings", stack.basis)
+    _top_eigenvectors(pooled, r0, "strong loadings", stack.basis, vecs)
+    del stack, pooled
     return LoadingMatrix(matrix=vecs)
 
 
@@ -150,6 +163,7 @@ def estimate_weak_loadings(
     m = min(p, panel.n)
     if not 1 <= r < m - strong.r:
         raise LoadingError(f"r={r} outside [1, {m - strong.r - 1}]")
+    vecs = np.empty((p, r))
     stack = lag_stack(panel, k0)
     u, covs = stack.basis, stack.covs
     q = strong.matrix
@@ -163,7 +177,8 @@ def estimate_weak_loadings(
         covs = (s - qs @ (qs.T @ s) for s in covs)
         covs = (s - (s @ qs) @ qs.T for s in covs)
     pooled = pooled_matrix_from_covs(covs)
-    vecs = _top_eigenvectors(pooled, r, "weak loadings", u)
+    _top_eigenvectors(pooled, r, "weak loadings", u, vecs)
+    del stack, u, covs, pooled
     if strong.r > 0:
         overlap = np.abs(q.T @ vecs).max()
         if overlap > 1e-8:

@@ -233,6 +233,24 @@ class TestSimulateCommand:
             outs.append((out / "summary.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        src = str(Path(factorclust.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "factorclust", "simulate", "--scenario", "I",
+                 "--p1", "10", "--reps", "3", "--k0", "3", "--estimated-counts",
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            written.append({path.name: path.read_bytes()
+                            for path in sorted(out.iterdir())})
+        assert sorted(written[0]) == ["provenance.json", "summary.csv"]
+        assert written[0] == written[1]
+
     def test_zero_reps_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "I", "--reps", "0",
                      "--out", str(tmp_path)])

@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from factorclust import (
     select_factor_counts,
     single_matrix_ratio_baseline,
 )
+from factorclust import factor_count
+from factorclust.panel import lag_stack
 
 from oracles import lag_autocov_oracle
 
@@ -121,6 +124,29 @@ class TestRatioSequence:
     def test_j0_exceeds_p(self):
         with pytest.raises(FactorCountError, match="J0"):
             cumulative_ratio_sequence(rank_one_panel(p=5), k0=1, J0=6)
+
+    @pytest.mark.parametrize("p, n", [(12, 50), (60, 30)])
+    def test_stack_freed_before_report_is_built(self, monkeypatch, p, n):
+        refs = []
+
+        def recording_lag_stack(panel, k0):
+            stack = lag_stack(panel, k0)
+            refs.append(weakref.ref(stack.covs))
+            return stack
+
+        live_at_report = []
+        ratio_report = factor_count._ratio_report
+
+        def recording_ratio_report(*args):
+            live_at_report.append(refs[0]() is not None)
+            return ratio_report(*args)
+
+        monkeypatch.setattr(factor_count, "lag_stack", recording_lag_stack)
+        monkeypatch.setattr(factor_count, "_ratio_report", recording_ratio_report)
+        rng = np.random.default_rng(4)
+        panel = TimeSeriesPanel(values=rng.standard_normal((p, n)))
+        factor_count.cumulative_ratio_sequence(panel, k0=3, J0=8)
+        assert live_at_report == [False]
 
 
 class TestSelection:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from factorclust import (
     pooled_matrix,
     projection,
 )
-from factorclust.loadings import _orient_columns
+from factorclust import loadings
+from factorclust.loadings import _orient_columns, _top_eigenvectors
+from factorclust.panel import lag_stack
 
 from oracles import jacobi_eigh, residualize_oracle
 
@@ -120,6 +124,53 @@ class TestWeakLoadings:
         q = np.eye(7)[:, :1]
         with pytest.raises(LoadingError, match="rows"):
             estimate_weak_loadings(panel, LoadingMatrix(q), k0=1, r=2)
+
+
+def oriented(vectors):
+    """Columns negated where their largest-magnitude entry is negative."""
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.where(peaks < 0, -vectors, vectors)
+
+
+class TestResultBuffer:
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_sign_fixed_in_place(self, r):
+        # at r = 8 a column view steps 64 bytes, where numpy 2.4's in-place
+        # np.negative misreads its input
+        rng = np.random.default_rng(r)
+        a = rng.standard_normal((12, 12))
+        sym = a + a.T
+        top = np.linalg.eigh(sym)[1][:, ::-1][:, :r]
+        got = _top_eigenvectors(sym, r, "test", None, np.empty((12, r)))
+        np.testing.assert_array_equal(got, oriented(top))
+        basis = np.linalg.qr(rng.standard_normal((30, 12)))[0]
+        lifted = _top_eigenvectors(sym, r, "test", basis, np.empty((30, r)))
+        np.testing.assert_array_equal(lifted, oriented(basis @ top))
+
+    @pytest.mark.parametrize("p, n", [(6, 80), (40, 20)])
+    def test_stack_freed_before_result_is_wrapped(self, monkeypatch, p, n):
+        refs = []
+
+        def recording_lag_stack(panel, k0):
+            stack = lag_stack(panel, k0)
+            refs.append(weakref.ref(stack.covs))
+            if stack.basis is not None:
+                refs.append(weakref.ref(stack.basis))
+            return stack
+
+        live_at_wrap = []
+
+        def recording_loading_matrix(matrix):
+            live_at_wrap.append([ref() is not None for ref in refs])
+            return LoadingMatrix(matrix)
+
+        monkeypatch.setattr(loadings, "lag_stack", recording_lag_stack)
+        monkeypatch.setattr(loadings, "LoadingMatrix", recording_loading_matrix)
+        panel = noisy_factor_panel(p, n, 1, 2, seed=3)
+        strong = loadings.estimate_strong_loadings(panel, k0=2, r0=1)
+        loadings.estimate_weak_loadings(panel, strong, k0=2, r=2)
+        per_stack = 1 if p <= n else 2
+        assert live_at_wrap == [[False] * per_stack, [False] * 2 * per_stack]
 
 
 class TestProjection:

@@ -1,4 +1,8 @@
+import ctypes
+import multiprocessing
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from factorclust import (
     scenario_ii,
     select_factor_counts,
 )
+import factorclust.simulation as sim
 from factorclust.factor_count import FactorCountError
 from factorclust.simulation import _ar1_paths, _draw_coefficients, _ma1_paths
 
@@ -304,3 +309,144 @@ class TestMonteCarlo:
     def test_reps_must_be_positive(self):
         with pytest.raises(SimulationError, match="reps"):
             run_monte_carlo(scenario_i(), reps=0)
+
+
+def _numpy_openblas():
+    """(setter, getter) of numpy's bundled OpenBLAS, found from numpy's own
+    install, not the way the harness finds it; None when absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@pytest.fixture()
+def caller_on_two_blas_threads():
+    """numpy's OpenBLAS getter, with the caller's count set to 2 for the test."""
+    controls = _numpy_openblas()
+    if controls is None:
+        pytest.skip("numpy does not bundle a scipy-openblas build")
+    setter, getter = controls
+    before = getter()
+    setter(2)
+    try:
+        if getter() != 2:
+            pytest.skip("OpenBLAS cannot run two threads here")
+        yield getter
+    finally:
+        setter(before)
+
+
+def _child_pids() -> set[int]:
+    pids = {child.pid for child in multiprocessing.active_children()}
+    for path in Path("/proc/self/task").glob("*/children"):
+        pids.update(int(pid) for pid in path.read_text().split())
+    return pids
+
+
+class TestOneBlasThread:
+    SMALL = ScenarioSpec(n=100, d=2, p1=5, p_extra=2, seed=12)
+    SMALL_CONFIG = MonteCarloConfig(k0=1, include_baseline=False)
+
+    def test_scenario_size_identical_across_jobs(self):
+        # p = 150: two BLAS threads would split these products, one does not
+        spec = scenario_i(p1=25, seed=13)
+        config = MonteCarloConfig(k0=5, estimated_counts=True)
+        serial = run_monte_carlo(spec, reps=6, config=config, jobs=1)
+        parallel = run_monte_carlo(spec, reps=6, config=config, jobs=2)
+        assert any("strong_err_op_est" in rec for rec in serial.records)
+        assert serial.records == parallel.records
+        assert serial.table.rows == parallel.table.rows
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_replications_see_one_thread(self, monkeypatch, caller_on_two_blas_threads,
+                                         jobs):
+        getter = caller_on_two_blas_threads
+        monkeypatch.setattr(sim, "replication_record",
+                            lambda spec, config: {"blas_threads": getter()})
+        result = sim.run_monte_carlo(self.SMALL, reps=4, config=self.SMALL_CONFIG,
+                                     jobs=jobs)
+        assert [rec["blas_threads"] for rec in result.records] == [1] * 4
+        assert getter() == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_count_restored_when_every_replication_fails(
+            self, monkeypatch, caller_on_two_blas_threads, jobs):
+        getter = caller_on_two_blas_threads
+
+        def broken(spec, config):
+            raise RuntimeError(f"broken on {getter()} threads")
+
+        monkeypatch.setattr(sim, "replication_record", broken)
+        with pytest.raises(SimulationError, match="broken on 1 threads"):
+            sim.run_monte_carlo(self.SMALL, reps=3, config=self.SMALL_CONFIG,
+                                jobs=jobs)
+        assert getter() == 2
+
+    def test_count_restored_when_the_body_raises(self, caller_on_two_blas_threads):
+        getter = caller_on_two_blas_threads
+        with pytest.raises(KeyboardInterrupt):
+            with sim._one_blas_thread():
+                assert getter() == 1
+                raise KeyboardInterrupt
+        assert getter() == 2
+
+    def test_no_child_process_left(self):
+        before = _child_pids()
+        result = run_monte_carlo(self.SMALL, reps=4, config=self.SMALL_CONFIG, jobs=2)
+        assert result.n_completed == 4
+        assert _child_pids() - before == set()
+
+    def test_runs_when_no_openblas_is_found(self, monkeypatch):
+        monkeypatch.setattr(sim, "_openblas_thread_controls", lambda: [])
+        found_nothing = sim.run_monte_carlo(self.SMALL, reps=3,
+                                            config=self.SMALL_CONFIG, jobs=2)
+        monkeypatch.undo()
+        assert found_nothing.records == run_monte_carlo(
+            self.SMALL, reps=3, config=self.SMALL_CONFIG).records
+
+    def test_lookup_finds_nothing_without_proc(self, monkeypatch):
+        def no_proc(*args, **kwargs):
+            raise FileNotFoundError("/proc/self/maps")
+
+        monkeypatch.setattr(sim, "open", no_proc, raising=False)
+        assert sim._openblas_thread_controls() == []
+        with sim._one_blas_thread():
+            pass
+
+    def test_lookup_finds_numpy_build(self):
+        if _numpy_openblas() is None:
+            pytest.skip("numpy does not bundle a scipy-openblas build")
+        assert len(sim._openblas_thread_controls()) >= 1
+
+    @pytest.mark.parametrize("reps, jobs, workers", [
+        (1, 3, None), (2, 3, 2), (5, 3, 3), (4, 1, None),
+    ])
+    def test_pool_never_larger_than_reps(self, monkeypatch, reps, jobs, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        result = sim.run_monte_carlo(self.SMALL, reps=reps, config=self.SMALL_CONFIG,
+                                     jobs=jobs)
+        assert result.n_completed == reps
+        assert started == ([] if workers is None else [workers])
