@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k0", type=int, default=5,
                        help="largest pooled lag (default 5)")
         p.add_argument("--j0", type=int, default=None,
-                       help="ratio truncation point (default max(8, p/4))")
+                       help="ratio truncation point (default max(8, rho/4) "
+                            "capped at rho, rho = min(p, n - 1))")
         p.add_argument("--out", default=".", help="output directory")
 
     pc = sub.add_parser("cluster", help="cluster a panel CSV")

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import threads_for_dim
 from .panel import LagStack, TimeSeriesPanel, lag_stack, pooled_matrix_from_covs
 from .panel import lag_autocov_sequence  # noqa: F401 - perfbench/tracer.py wraps this binding
 
@@ -128,15 +129,21 @@ class FactorCountReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def default_j0(p: int) -> int:
-    """Default truncation point: floor(p/4), at least 8, at most p."""
-    return min(max(8, p // 4), p)
+def default_j0(p: int, n: int) -> int:
+    """Default truncation point: floor(rho/4), at least 8, at most rho.
+
+    rho = min(p, n - 1) bounds the rank of every S(k), so the ratios stop
+    before the rank-deficiency spike of a panel with p >= n.  A two-point
+    panel (rho = 1) gets J0 = 2, the one ratio its report can hold.
+    """
+    rho = min(p, n - 1)
+    return max(2, min(max(8, rho // 4), rho))
 
 
-def _checked_j0(J0: int | None, p: int) -> int:
-    """J0, or its default for p, after checking 2 <= J0 <= p."""
+def _checked_j0(J0: int | None, p: int, n: int) -> int:
+    """J0, or its default for a p x n panel, after checking 2 <= J0 <= p."""
     if J0 is None:
-        J0 = default_j0(p)
+        J0 = default_j0(p, n)
     if J0 < 2:
         raise FactorCountError(f"J0 must be at least 2, got {J0}")
     if J0 > p:
@@ -212,7 +219,11 @@ def cumulative_ratio_sequence(
         Largest lag pooled; small values (<= 5) work well since serial
         correlation concentrates at short lags.
     J0 : int, optional
-        Ratio truncation point; defaults to max(8, p // 4) capped at p.
+        Ratio truncation point; defaults to ``default_j0(p, n)``.
+
+    The singular values of the min(p, n)-square lag covariances run on one
+    BLAS thread when min(p, n) <= ``_blas.ONE_THREAD_MAX_DIM``, where that
+    is faster; the caller's thread count is restored afterwards.
 
     Raises
     ------
@@ -220,15 +231,16 @@ def cumulative_ratio_sequence(
         If J0 < 2 or the eigenvalue computation fails.
     """
     p, n = panel.p, panel.n
-    J0 = _checked_j0(J0, p)
+    J0 = _checked_j0(J0, p, n)
     # allocated before the lag stack, which is freed before the report is
     # built (see loadings._top_eigenvectors)
     eigs = np.zeros((k0 + 1, p))
     covs = lag_stack(panel, k0).covs
     try:
-        for k, cov in enumerate(covs):
-            # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
-            eigs[k, : len(cov)] = np.linalg.svd(cov, compute_uv=False) ** 2
+        with threads_for_dim(min(p, n)):
+            for k, cov in enumerate(covs):
+                # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
+                eigs[k, : len(cov)] = np.linalg.svd(cov, compute_uv=False) ** 2
     except np.linalg.LinAlgError as exc:
         raise FactorCountError(f"eigen-solver failure at lag {k}: {exc}") from exc
     del covs, cov
@@ -245,7 +257,7 @@ def single_matrix_ratio_baseline(
     R_j = lam_j(M) / lam_{j+1}(M).  ``panel`` may be the panel's
     ``lag_stack`` built with the same k0.
     """
-    J0 = _checked_j0(J0, panel.p)
+    J0 = _checked_j0(J0, panel.p, panel.n)
     pooled = pooled_matrix_from_covs(lag_stack(panel, k0).covs)
     eigvals = np.zeros(panel.p)
     try:

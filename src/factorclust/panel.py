@@ -41,6 +41,8 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
+from ._blas import threads_for_dim
+
 __all__ = [
     "PanelError",
     "TimeSeriesPanel",
@@ -404,7 +406,9 @@ def lag_stack(panel: TimeSeriesPanel | LagStack, k0: int) -> LagStack:
 
     When p > n the stack holds U and the C(k) of the thin QR X = U R of the
     centered panel: the lag covariances of the n x n panel R, which
-    ``lag_autocov_sequence`` centers once more.
+    ``lag_autocov_sequence`` centers once more.  The QR runs on one BLAS
+    thread when n <= ``_blas.ONE_THREAD_MAX_DIM``, where that is faster;
+    the lag products keep the caller's threads.
 
     Raises ``PanelError`` if k0 is outside [0, n - 1] or differs from a given stack's.
     """
@@ -415,7 +419,8 @@ def lag_stack(panel: TimeSeriesPanel | LagStack, k0: int) -> LagStack:
     if panel.p <= panel.n:
         return LagStack(lag_autocov_sequence(panel, k0), None, panel.p, panel.n)
     centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    u, r = np.linalg.qr(centered)
+    with threads_for_dim(panel.n):
+        u, r = np.linalg.qr(centered)
     covs = lag_autocov_sequence(TimeSeriesPanel(values=r), k0)
     return LagStack(covs, u, panel.p, panel.n)
 

@@ -12,17 +12,16 @@ law (no burn-in).
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
+import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._blas import _one_blas_thread
 from .clustering import (
     cluster_upper_bound,
     detect_no_cluster,
@@ -524,65 +523,6 @@ def _worker(args: tuple[ScenarioSpec, MonteCarloConfig, int]):
         return rep, None, f"{type(exc).__name__}: {exc}"
 
 
-# (setter, getter) pairs of the OpenBLAS thread API, in the order tried
-_OPENBLAS_THREAD_API = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-
-
-def _openblas_thread_controls() -> list[tuple]:
-    """(setter, getter) of every OpenBLAS build loaded in this process.
-
-    numpy and scipy each bundle their own build, so there can be two.  The
-    builds are found in ``/proc/self/maps``; where that file is missing or
-    a build exports none of the API, the list holds nothing for it.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
-            lines = maps.read().splitlines()
-    except OSError:
-        return []
-    paths = set()
-    for line in lines:
-        parts = line.split(maxsplit=5)  # address perms offset dev inode path
-        if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower():
-            paths.add(parts[5])
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for set_name, get_name in _OPENBLAS_THREAD_API:
-            if hasattr(lib, set_name) and hasattr(lib, get_name):
-                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
-                break
-    return controls
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with every loaded OpenBLAS build on one thread.
-
-    Each build's previous thread count is restored on exit, also when the
-    body raises.  A process forked inside the body inherits the setting.
-    """
-    previous = [(setter, getter()) for setter, getter in _openblas_thread_controls()]
-    for setter, _ in previous:
-        setter(1)
-    try:
-        yield
-    finally:
-        for setter, count in previous:
-            setter(count)
-
-
 def run_monte_carlo(
     spec: ScenarioSpec,
     reps: int,
@@ -595,9 +535,11 @@ def run_monte_carlo(
     the result is identical for any ``jobs`` value; failed replications
     are excluded from the aggregation but counted in ``failures``.
 
-    Every replication runs on one BLAS thread, serially or in a fork pool
-    of ``min(jobs, reps)`` workers, so ``jobs`` is the only parallelism
-    and the result does not depend on the OpenBLAS thread count either.
+    Every replication runs on one BLAS thread, serially or in a pool of
+    ``min(jobs, reps)`` workers, so ``jobs`` is the only parallelism and
+    the result does not depend on the OpenBLAS thread count either.  The
+    workers are forked whatever the default start method, so they inherit
+    the setting and leave no helper process behind.
     The setting is process-wide while the replications run, and the
     caller's thread count is restored when they end.
     """
@@ -611,7 +553,8 @@ def run_monte_carlo(
     workers = min(jobs, reps)
     with _one_blas_thread():
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
                 raw = list(pool.map(_worker, tasks))
         else:
             raw = [_worker(t) for t in tasks]

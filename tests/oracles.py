@@ -4,13 +4,17 @@ Everything here deliberately avoids the code paths of the package:
 covariances by explicit double loops over matrix entries, eigenpairs by
 cyclic Jacobi rotations, K-means by exhaustive enumeration of label
 vectors, Lloyd's algorithm one restart at a time, and label matching by
-trying every bijection.  Slow but unambiguous.
+trying every bijection.  Slow but unambiguous.  numpy's OpenBLAS thread
+control is found from numpy's own install, not from the process's maps.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
@@ -204,3 +208,19 @@ def partition_sets(labels) -> set[frozenset]:
     for idx, lab in enumerate(labels):
         groups.setdefault(lab, set()).add(idx)
     return {frozenset(g) for g in groups.values()}
+
+
+def numpy_openblas():
+    """(setter, getter) of numpy's bundled OpenBLAS thread count, found
+    from numpy's own install; None when absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None

@@ -132,6 +132,37 @@ class TestClusterCommand:
         assert len(lines) == 1 and lines[0].startswith("E_LOADINGS: cluster:")
 
 
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(n=300, d=3, p1=20, p_extra=10, seed=5),    # 70 x 300
+        ScenarioSpec(n=120, d=3, p1=60, p_extra=40, seed=5),    # 220 x 120
+    ], ids=["p<=n", "p>n"])
+    def test_decisions_independent_of_blas_threads(self, tmp_path, spec):
+        # the per-lag SVDs (and for p > n the thin QR) run on one thread at
+        # either setting; the lag products and eigh follow OPENBLAS_NUM_THREADS
+        path = tmp_path / "panel.csv"
+        write_panel_csv(path, generate_scenario(spec)[0])
+        src = str(Path(factorclust.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "factorclust", "cluster", str(path), "--k0", "3",
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs.append((json.loads((out / "clustering_result.json").read_text()),
+                         json.loads((out / "factor_count_report.json").read_text())))
+        (one, one_report), (two, two_report) = runs
+        assert one["counts"] == two["counts"] == {"r0": spec.r0, "r": spec.r}
+        for key in ("no_cluster", "retained", "d_hat", "d_used", "assignments"):
+            assert one[key] == two[key], key
+        assert one_report["selected"] == two_report["selected"]
+        ratios = [np.array([float(x) for x in report["ratios"]])
+                  for report in (one_report, two_report)]
+        np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-12)
+
     @pytest.mark.parametrize("restarts", ["0", "-2"])
     def test_restarts_below_one(self, small_panel, tmp_path, capsys, restarts):
         path, _, _ = small_panel
@@ -189,6 +220,16 @@ class TestFactorCountCommand:
         assert main(["factor-count", str(path), "--k0", "2", "--out", str(out)]) == 0
         doc = json.loads((out / "factor_count_report.json").read_text())
         assert doc["selected"] is None
+        assert "manually" in doc["selection_error"]
+
+    def test_two_point_panel_still_writes(self, tmp_path):
+        # rank S(k) <= n - 1 = 1: the default J0 is 2, one ratio
+        path = tmp_path / "two.csv"
+        path.write_text("a,b,c,d\n1,2,3,5\n2,1,7,3\n")
+        out = tmp_path / "fc3"
+        assert main(["factor-count", str(path), "--k0", "1", "--out", str(out)]) == 0
+        doc = json.loads((out / "factor_count_report.json").read_text())
+        assert doc["J0"] == 2 and doc["selected"] is None
         assert "manually" in doc["selection_error"]
 
 

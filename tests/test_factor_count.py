@@ -47,6 +47,30 @@ def rank_one_panel(p=12, n=50, seed=0):
     return TimeSeriesPanel(values=np.outer(a, x))
 
 
+class TestDefaultJ0:
+    @pytest.mark.parametrize("p, n, want", [
+        (150, 400, 37),     # scenario I
+        (477, 1259, 119),   # the real-data shape
+        (20, 400, 8),
+        (5, 400, 5),
+        (100, 100, 24),     # rho = n - 1 = 99
+        (1000, 250, 62),    # a year of daily data: p / 4 = 250 > rank
+        (30, 12, 8),
+        (30, 6, 5),
+        (4, 2, 2),          # rho = 1: one ratio, still a report
+    ])
+    def test_values(self, p, n, want):
+        assert factor_count.default_j0(p, n) == want
+
+    def test_unchanged_while_p_below_n(self):
+        for p in range(2, 300):
+            assert factor_count.default_j0(p, p + 1) == min(max(8, p // 4), p)
+
+    def test_report_uses_the_default(self):
+        report = cumulative_ratio_sequence(rank_one_panel(p=40, n=30), k0=2)
+        assert report.J0 == factor_count.default_j0(40, 30) == 8
+
+
 class TestRatioSequence:
     def test_rank_one_panel_unique_spike(self):
         report = cumulative_ratio_sequence(rank_one_panel(), k0=2, J0=8)

@@ -1,6 +1,4 @@
-import ctypes
 import multiprocessing
-import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,9 +20,12 @@ from factorclust import (
     scenario_ii,
     select_factor_counts,
 )
+import factorclust._blas as blas
 import factorclust.simulation as sim
 from factorclust.factor_count import FactorCountError
 from factorclust.simulation import _ar1_paths, _draw_coefficients, _ma1_paths
+
+from oracles import numpy_openblas
 
 
 class TestScenarioSpec:
@@ -311,44 +312,34 @@ class TestMonteCarlo:
             run_monte_carlo(scenario_i(), reps=0)
 
 
-def _numpy_openblas():
-    """(setter, getter) of numpy's bundled OpenBLAS, found from numpy's own
-    install, not the way the harness finds it; None when absent."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-        for suffix in ("64_", ""):
-            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            if setter is not None and getter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
-    return None
-
-
-@pytest.fixture()
-def caller_on_two_blas_threads():
-    """numpy's OpenBLAS getter, with the caller's count set to 2 for the test."""
-    controls = _numpy_openblas()
-    if controls is None:
-        pytest.skip("numpy does not bundle a scipy-openblas build")
-    setter, getter = controls
-    before = getter()
-    setter(2)
-    try:
-        if getter() != 2:
-            pytest.skip("OpenBLAS cannot run two threads here")
-        yield getter
-    finally:
-        setter(before)
-
-
 def _child_pids() -> set[int]:
     pids = {child.pid for child in multiprocessing.active_children()}
     for path in Path("/proc/self/task").glob("*/children"):
         pids.update(int(pid) for pid in path.read_text().split())
     return pids
+
+
+@pytest.fixture()
+def recording_pool(monkeypatch):
+    """Stands in for the process pool: records the arguments of every pool
+    made and runs its tasks in this process."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None):
+            started.append({"max_workers": max_workers, "mp_context": mp_context})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    return started
 
 
 class TestOneBlasThread:
@@ -393,7 +384,7 @@ class TestOneBlasThread:
     def test_count_restored_when_the_body_raises(self, caller_on_two_blas_threads):
         getter = caller_on_two_blas_threads
         with pytest.raises(KeyboardInterrupt):
-            with sim._one_blas_thread():
+            with blas._one_blas_thread():
                 assert getter() == 1
                 raise KeyboardInterrupt
         assert getter() == 2
@@ -405,7 +396,7 @@ class TestOneBlasThread:
         assert _child_pids() - before == set()
 
     def test_runs_when_no_openblas_is_found(self, monkeypatch):
-        monkeypatch.setattr(sim, "_openblas_thread_controls", lambda: [])
+        monkeypatch.setattr(blas, "_openblas_thread_controls", lambda: ())
         found_nothing = sim.run_monte_carlo(self.SMALL, reps=3,
                                             config=self.SMALL_CONFIG, jobs=2)
         monkeypatch.undo()
@@ -416,37 +407,37 @@ class TestOneBlasThread:
         def no_proc(*args, **kwargs):
             raise FileNotFoundError("/proc/self/maps")
 
-        monkeypatch.setattr(sim, "open", no_proc, raising=False)
-        assert sim._openblas_thread_controls() == []
-        with sim._one_blas_thread():
-            pass
+        monkeypatch.setattr(blas, "open", no_proc, raising=False)
+        # the lookup is cached per process: look again, and forget the
+        # result so that later tests find the real builds
+        blas._openblas_thread_controls.cache_clear()
+        try:
+            assert blas._openblas_thread_controls() == ()
+            with blas._one_blas_thread():
+                pass
+        finally:
+            blas._openblas_thread_controls.cache_clear()
 
     def test_lookup_finds_numpy_build(self):
-        if _numpy_openblas() is None:
+        if numpy_openblas() is None:
             pytest.skip("numpy does not bundle a scipy-openblas build")
-        assert len(sim._openblas_thread_controls()) >= 1
+        assert len(blas._openblas_thread_controls()) >= 1
 
     @pytest.mark.parametrize("reps, jobs, workers", [
         (1, 3, None), (2, 3, 2), (5, 3, 3), (4, 1, None),
     ])
-    def test_pool_never_larger_than_reps(self, monkeypatch, reps, jobs, workers):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_never_larger_than_reps(self, recording_pool, reps, jobs, workers):
         result = sim.run_monte_carlo(self.SMALL, reps=reps, config=self.SMALL_CONFIG,
                                      jobs=jobs)
         assert result.n_completed == reps
+        started = [pool["max_workers"] for pool in recording_pool]
         assert started == ([] if workers is None else [workers])
+
+    def test_pool_forks_its_workers(self, recording_pool):
+        # forked workers inherit the one-thread setting; a forkserver or
+        # spawn pool would not, and would leave a resource tracker running
+        result = sim.run_monte_carlo(self.SMALL, reps=2, config=self.SMALL_CONFIG,
+                                     jobs=2)
+        assert result.n_completed == 2
+        [pool] = recording_pool
+        assert pool["mp_context"].get_start_method() == "fork"

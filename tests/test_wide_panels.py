@@ -13,10 +13,12 @@ from factorclust import (
     FactorCountReport,
     LoadingError,
     LoadingMatrix,
+    ScenarioSpec,
     TimeSeriesPanel,
     cumulative_ratio_sequence,
     estimate_strong_loadings,
     estimate_weak_loadings,
+    generate_scenario,
     projection,
     select_factor_counts,
     single_matrix_ratio_baseline,
@@ -109,6 +111,20 @@ class TestRatiosAgainstPSpace:
         assert np.all(report.per_lag_eigenvalues[0, N:] == 0.0)
         keep = ~truncated
         np.testing.assert_allclose(report.ratios[keep], ratios[keep], rtol=1e-10)
+
+
+class TestDefaultJ0OnWidePanels:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_true_counts_a_year_of_daily_data(self, seed):
+        # 1000 series over 250 days: J0 = p / 4 = 250 would lie past
+        # rank S(k) <= n - 1 and select the rank-deficiency spike
+        spec = ScenarioSpec(n=250, d=10, p1=60, p_extra=400, seed=seed)
+        panel, _ = generate_scenario(spec)
+        report = cumulative_ratio_sequence(panel, k0=5)
+        assert report.J0 == 62
+        assert select_factor_counts(report) == (spec.r0, spec.r)
+        past_rank = cumulative_ratio_sequence(panel, k0=5, J0=spec.p // 4)
+        assert select_factor_counts(past_rank) == (2, 247)
 
 
 class TestLoadingsAgainstOracle:
