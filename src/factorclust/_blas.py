@@ -21,8 +21,12 @@ from functools import cache
 # m = min(p, n) <= ONE_THREAD_MAX_DIM.  Medians on 2 vCPUs, two OpenBLAS
 # threads against one: QR of 1000 x 250 28 against 13 ms, of 4000 x 250
 # 121 against 85-107 ms; six 250 x 250 SVDs 42 against 35 ms, six
-# 477 x 477 167 against 154 ms; a tie at m = 600-700, two threads 10-40%
-# ahead from m = 800.
+# 477 x 477 167 against 154 ms; the SVDs tie at m = 600-700, and from
+# m = 800 two threads are 14-25% ahead on them (the QR from m = 1000).
+# The bound comes from these timings of the two steps alone
+# (BENCH_15.json, "crossover"); no end-to-end benchmark workload has
+# m > 512, so the benchmark has not checked it, nor has any host with
+# more cores.
 ONE_THREAD_MAX_DIM = 512
 
 # (setter, getter) pairs of the OpenBLAS thread API, in the order tried

@@ -129,14 +129,15 @@ class FactorCountReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def default_j0(p: int, n: int) -> int:
+def default_j0(p: int, n: int | None = None) -> int:
     """Default truncation point: floor(rho/4), at least 8, at most rho.
 
     rho = min(p, n - 1) bounds the rank of every S(k), so the ratios stop
     before the rank-deficiency spike of a panel with p >= n.  A two-point
     panel (rho = 1) gets J0 = 2, the one ratio its report can hold.
+    Without n, rho = p: the default of a panel with p <= n - 1.
     """
-    rho = min(p, n - 1)
+    rho = p if n is None else min(p, n - 1)
     return max(2, min(max(8, rho // 4), rho))
 
 

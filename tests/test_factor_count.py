@@ -66,6 +66,11 @@ class TestDefaultJ0:
         for p in range(2, 300):
             assert factor_count.default_j0(p, p + 1) == min(max(8, p // 4), p)
 
+    def test_without_n_rho_is_p(self):
+        for p in range(2, 300):
+            assert factor_count.default_j0(p) == min(max(8, p // 4), p)
+        assert factor_count.default_j0(1000) == 250
+
     def test_report_uses_the_default(self):
         report = cumulative_ratio_sequence(rank_one_panel(p=40, n=30), k0=2)
         assert report.J0 == factor_count.default_j0(40, 30) == 8
