@@ -50,10 +50,8 @@ from .loadings import (
 from .panel import (
     PanelError,
     TimeSeriesPanel,
-    lag_autocov,
     load_labels,
     load_panel,
-    pooled_matrix,
 )
 from .simulation import (
     Example1Population,
@@ -63,7 +61,6 @@ from .simulation import (
     ScenarioTruth,
     SimulationError,
     generate_example1,
-    generate_robustness,
     generate_scenario,
     read_scenario_config,
     replication_record,
@@ -78,7 +75,6 @@ __all__ = [
     "__version__",
     # panel
     "PanelError", "TimeSeriesPanel", "load_panel", "load_labels",
-    "lag_autocov", "pooled_matrix",
     # factor counting
     "FactorCountError", "FactorCountReport", "cumulative_ratio_sequence",
     "select_factor_counts", "single_matrix_ratio_baseline",
@@ -96,6 +92,6 @@ __all__ = [
     # simulation
     "SimulationError", "ScenarioSpec", "ScenarioTruth", "Example1Population",
     "MonteCarloConfig", "MonteCarloResult", "scenario_i", "scenario_ii",
-    "generate_scenario", "generate_robustness", "generate_example1",
+    "generate_scenario", "generate_example1",
     "run_monte_carlo", "replication_record", "read_scenario_config",
 ]

@@ -159,8 +159,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor_count(args: argparse.Namespace) -> int:
-    path = _require_file(args.input)
     _check_k0(args.k0)
+    path = _require_file(args.input)
     panel = load_panel(path, orientation=args.orientation)
     _check_k0(args.k0, panel.n)
     report = cumulative_ratio_sequence(panel, k0=args.k0, J0=args.j0)

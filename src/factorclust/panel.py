@@ -48,8 +48,6 @@ __all__ = [
     "TimeSeriesPanel",
     "load_panel",
     "load_labels",
-    "lag_autocov",
-    "pooled_matrix",
 ]
 
 
@@ -324,8 +322,6 @@ def load_panel(
             parsed = _load_streamed(fh, orientation)
     ids, values = parsed
 
-    if values.shape[0] < 2:
-        raise PanelError(f"panel needs at least 2 series, got {values.shape[0]}")
     label_tuple = None
     if labels is not None:
         label_tuple = tuple(labels.get(s, "") for s in ids)
@@ -351,29 +347,8 @@ def load_labels(source: str | Path | IO[str] | IO[bytes]) -> dict[str, str]:
     return mapping
 
 
-def lag_autocov(panel: TimeSeriesPanel, k: int) -> np.ndarray:
-    """Sample lag-k autocovariance S(k) with full-sample centering, divisor n.
-
-    Returns a new p x p array.
-
-    Raises
-    ------
-    PanelError
-        If ``k`` is negative or ``k >= n``.
-    """
-    n = panel.n
-    if k < 0 or k >= n:
-        raise PanelError(f"lag k={k} outside [0, {n - 1}]")
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
-    lead = centered[:, k:]
-    trail = centered[:, : n - k]
-    return (lead @ trail.T) / n
-
-
 def lag_autocov_sequence(panel: TimeSeriesPanel, k0: int) -> np.ndarray:
     """Read-only stack of S(0)..S(k0), shape (k0 + 1, p, p), one centering pass.
-
-    Slice k equals ``lag_autocov(panel, k)``.
 
     Raises
     ------
@@ -444,7 +419,3 @@ def pooled_matrix_from_covs(covs: Iterable[np.ndarray]) -> np.ndarray:
         raise PanelError("no lag covariances supplied")
     return (acc + acc.T) / 2.0
 
-
-def pooled_matrix(panel: TimeSeriesPanel, k0: int) -> np.ndarray:
-    """M = sum_{k=0..k0} S(k) S(k)^T of the panel, a symmetric p x p array."""
-    return pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))

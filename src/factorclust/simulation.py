@@ -48,7 +48,7 @@ from .loadings import (
     oracle_weak_projection,
     projection,
 )
-from .panel import LagStack, TimeSeriesPanel, lag_stack
+from .panel import LagStack, TimeSeriesPanel, lag_stack, pooled_matrix_from_covs
 
 __all__ = [
     "SimulationError",
@@ -60,7 +60,6 @@ __all__ = [
     "scenario_i",
     "scenario_ii",
     "generate_scenario",
-    "generate_robustness",
     "generate_example1",
     "run_monte_carlo",
     "replication_record",
@@ -149,9 +148,6 @@ class ScenarioTruth:
     J_true: np.ndarray               # sorted indices of the free series
     permutation: np.ndarray | None   # observed = original[permutation]
     intended_counts: tuple[int, int]
-    effective_counts: tuple[int, int]
-    demoted_columns: tuple[int, ...] = ()
-    delta_implied: float | None = None
 
     def inverse_permutation(self) -> np.ndarray:
         if self.permutation is None:
@@ -194,22 +190,13 @@ def _ma1_paths(rng: np.random.Generator, theta: np.ndarray, sds: np.ndarray,
     return sds[:, None] * w
 
 
-def _generate(spec: ScenarioSpec, demoted: int) -> tuple[TimeSeriesPanel, ScenarioTruth]:
+def generate_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesPanel, ScenarioTruth]:
+    """Draw one panel and its ground truth; deterministic in spec.seed."""
     rng = np.random.default_rng(spec.seed)
     p, n, r0, r = spec.p, spec.n, spec.r0, spec.r
     lo, hi = spec.loading_range
 
     a_mat = rng.uniform(lo, hi, size=(p, r0))
-    delta_implied = None
-    demoted_cols: tuple[int, ...] = ()
-    if demoted:
-        # give the last `demoted` strong columns cluster-level strength:
-        # squared norm p^(1-delta) with p^(1-delta) = p1
-        delta_implied = 1.0 - math.log(spec.p1) / math.log(p)
-        target = float(spec.p1)
-        demoted_cols = tuple(range(r0 - demoted, r0))
-        for j in demoted_cols:
-            a_mat[:, j] *= math.sqrt(target) / np.linalg.norm(a_mat[:, j])
 
     b_padded = np.zeros((p, r))
     membership = np.zeros(p, dtype=int)
@@ -250,33 +237,8 @@ def _generate(spec: ScenarioSpec, demoted: int) -> tuple[TimeSeriesPanel, Scenar
         J_true=np.flatnonzero(membership == 0),
         permutation=permutation,
         intended_counts=(r0, r),
-        effective_counts=(r0 - demoted, r + demoted),
-        demoted_columns=demoted_cols,
-        delta_implied=delta_implied,
     )
     return TimeSeriesPanel(values=values), truth
-
-
-def generate_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesPanel, ScenarioTruth]:
-    """Draw one panel and its ground truth; deterministic in spec.seed."""
-    return _generate(spec, demoted=0)
-
-
-def generate_robustness(
-    spec: ScenarioSpec, demoted_common_factors: int
-) -> tuple[TimeSeriesPanel, ScenarioTruth]:
-    """Scenario draw in which some strong factors only have weak strength.
-
-    The trailing ``demoted_common_factors`` columns of the strong loading
-    matrix are rescaled to the squared norm of a cluster-level factor, so
-    the factor-count step should see them on the weak tier; the truth
-    records both the intended and the effective counts.
-    """
-    if demoted_common_factors < 0 or demoted_common_factors > spec.r0:
-        raise SimulationError(
-            f"demoted={demoted_common_factors} outside [0, r0={spec.r0}]"
-        )
-    return _generate(spec, demoted=demoted_common_factors)
 
 
 def _example1_core(p: int, delta: float, a1: float, a2: float, a3: float,
@@ -319,8 +281,7 @@ class Example1Population:
     sigma1: np.ndarray   # population lag-1 covariance
 
     def pooled(self) -> np.ndarray:
-        m = self.sigma0 @ self.sigma0.T + self.sigma1 @ self.sigma1.T
-        return (m + m.T) / 2.0
+        return pooled_matrix_from_covs((self.sigma0, self.sigma1))
 
     def lambda3_analytic(self) -> float:
         """Third-largest pooled eigenvalue in closed form."""

@@ -24,9 +24,7 @@ from factorclust import (
     generate_example1,
     generate_scenario,
     kmeans,
-    lag_autocov,
     misclassification_count,
-    pooled_matrix,
     projection,
     run_monte_carlo,
     scenario_i,
@@ -34,6 +32,7 @@ from factorclust import (
     similarity_matrix,
     wcss_curve,
 )
+from factorclust.panel import lag_autocov_sequence, pooled_matrix_from_covs
 
 from oracles import (
     kmeans_oracle,
@@ -177,13 +176,14 @@ def test_criterion_7_oracle_equivalence():
         k = int(r.integers(0, min(4, n)))
         scale = max(np.abs(values).max() ** 2, 1.0)
         diff = np.abs(
-            lag_autocov(panel, k) - lag_autocov_oracle(values, k)
+            lag_autocov_sequence(panel, k)[k] - lag_autocov_oracle(values, k)
         ).max() / scale
         worst["lag"] = max(worst["lag"], diff)
 
         k0 = int(r.integers(0, min(3, n)))
         diff = np.abs(
-            pooled_matrix(panel, k0) - pooled_oracle(values, k0)
+            pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))
+            - pooled_oracle(values, k0)
         ).max() / scale**2
         worst["pool"] = max(worst["pool"], diff)
 

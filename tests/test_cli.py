@@ -234,10 +234,17 @@ class TestFactorCountCommand:
 
 
 @pytest.mark.parametrize("command", ["cluster", "factor-count"])
-@pytest.mark.parametrize("k0", ["-1", "300", "5000"])
-def test_k0_out_of_range_usage_error(small_panel, tmp_path, capsys, command, k0):
+@pytest.mark.parametrize("k0, missing", [
+    pytest.param("-1", False, id="-1"),
+    pytest.param("300", False, id="300"),
+    pytest.param("5000", False, id="5000"),
+    pytest.param("-1", True, id="-1-missing-input"),  # usage is checked first
+])
+def test_k0_out_of_range_usage_error(
+    small_panel, tmp_path, capsys, command, k0, missing
+):
     # the small panel has n = 300 time points, so k0 must lie in [0, 299]
-    path, _, _ = small_panel
+    path = tmp_path / "missing.csv" if missing else small_panel[0]
     code = main([command, str(path), "--k0", k0, "--out", str(tmp_path / "out")])
     assert code == 1
     lines = capsys.readouterr().err.splitlines()

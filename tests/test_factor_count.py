@@ -55,6 +55,7 @@ class TestDefaultJ0:
         (5, 400, 5),
         (100, 100, 24),     # rho = n - 1 = 99
         (1000, 250, 62),    # a year of daily data: p / 4 = 250 > rank
+        (1000, 1001, 250),  # rho = p
         (30, 12, 8),
         (30, 6, 5),
         (4, 2, 2),          # rho = 1: one ratio, still a report
@@ -65,11 +66,6 @@ class TestDefaultJ0:
     def test_unchanged_while_p_below_n(self):
         for p in range(2, 300):
             assert factor_count.default_j0(p, p + 1) == min(max(8, p // 4), p)
-
-    def test_without_n_rho_is_p(self):
-        for p in range(2, 300):
-            assert factor_count.default_j0(p) == min(max(8, p // 4), p)
-        assert factor_count.default_j0(1000) == 250
 
     def test_report_uses_the_default(self):
         report = cumulative_ratio_sequence(rank_one_panel(p=40, n=30), k0=2)

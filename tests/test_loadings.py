@@ -10,12 +10,11 @@ from factorclust import (
     estimate_strong_loadings,
     estimate_weak_loadings,
     oracle_weak_projection,
-    pooled_matrix,
     projection,
 )
 from factorclust import loadings
 from factorclust.loadings import _orient_columns, _top_eigenvectors
-from factorclust.panel import lag_stack
+from factorclust.panel import lag_autocov_sequence, lag_stack, pooled_matrix_from_covs
 
 from oracles import jacobi_eigh, residualize_oracle
 
@@ -59,7 +58,7 @@ class TestStrongLoadings:
         panel = TimeSeriesPanel(values=rng.standard_normal((5, 120)))
         k0, r0 = 2, 3
         est = estimate_strong_loadings(panel, k0=k0, r0=r0)
-        m = pooled_matrix(panel, k0)
+        m = pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))
         eigvals, eigvecs = jacobi_eigh(m)
         assert np.min(np.diff(eigvals[::-1])) != 0  # distinct spectrum
         oracle = _orient_columns(eigvecs[:, :r0])

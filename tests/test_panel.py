@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from factorclust import (
     PanelError,
     TimeSeriesPanel,
-    lag_autocov,
     load_labels,
     load_panel,
-    pooled_matrix,
 )
 
 from factorclust import panel as panel_module
@@ -21,6 +19,7 @@ from factorclust.panel import (
     _load_rows_as_time_fast,
     lag_autocov_sequence,
     lag_stack,
+    pooled_matrix_from_covs,
 )
 from oracles import lag_autocov_oracle, pooled_oracle
 
@@ -463,18 +462,17 @@ class TestUnreadableCsvRow:
 class TestLagAutocov:
     def test_constant_panel_is_zero(self):
         panel = TimeSeriesPanel(values=np.full((3, 10), 5.0))
-        for k in range(4):
-            np.testing.assert_allclose(lag_autocov(panel, k), 0.0, atol=1e-14)
+        np.testing.assert_allclose(lag_autocov_sequence(panel, 3), 0.0, atol=1e-14)
 
     def test_lag0_symmetric_psd(self):
         panel = random_panel(5, 40, seed=1)
-        s0 = lag_autocov(panel, 0)
+        s0 = lag_autocov_sequence(panel, 0)[0]
         np.testing.assert_allclose(s0, s0.T, atol=1e-12)
         assert np.linalg.eigvalsh(s0).min() >= -1e-12
 
     def test_small_panel_matches_loop_oracle(self):
         panel = TimeSeriesPanel(values=np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]]))
-        got = lag_autocov(panel, 1)
+        got = lag_autocov_sequence(panel, 1)[1]
         want = lag_autocov_oracle(panel.values, 1)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -489,45 +487,42 @@ class TestLagAutocov:
                 stack[0, 0, 0] = 1.0
             for k in range(panel.n):
                 np.testing.assert_allclose(
-                    lag_autocov(panel, k),
-                    lag_autocov_oracle(values, k),
-                    atol=1e-12,
+                    stack[k], lag_autocov_oracle(values, k), atol=1e-12
                 )
-                np.testing.assert_array_equal(stack[k], lag_autocov(panel, k))
 
     def test_lag_out_of_range(self):
         panel = random_panel(3, 6)
-        with pytest.raises(PanelError, match="lag"):
-            lag_autocov(panel, 6)
-        with pytest.raises(PanelError, match="lag"):
-            lag_autocov(panel, -1)
+        with pytest.raises(PanelError, match=r"^k0=6 outside \[0, 5\]$"):
+            lag_autocov_sequence(panel, 6)
+        with pytest.raises(PanelError, match=r"^k0=-1 outside \[0, 5\]$"):
+            lag_autocov_sequence(panel, -1)
 
 
 class TestPooledMatrix:
     def test_k0_zero_is_gram_of_lag0(self):
         panel = random_panel(4, 20, seed=2)
-        s0 = lag_autocov(panel, 0)
-        got = pooled_matrix(panel, 0)
+        stack = lag_autocov_sequence(panel, 0)
+        s0 = stack[0]
+        got = pooled_matrix_from_covs(stack)
         np.testing.assert_allclose(got, (s0 @ s0.T + (s0 @ s0.T).T) / 2, atol=1e-14)
 
     def test_psd_for_random_panels(self):
         for seed in range(8):
             panel = random_panel(6, 30, seed=seed)
-            m = pooled_matrix(panel, 3)
+            m = pooled_matrix_from_covs(lag_autocov_sequence(panel, 3))
             bound = -1e-10 * np.linalg.norm(m, 2)
             assert np.linalg.eigvalsh(m).min() >= bound
 
     def test_small_panel_matches_oracle(self):
         rng = np.random.default_rng(11)
         panel = TimeSeriesPanel(values=rng.standard_normal((3, 6)))
-        got = pooled_matrix(panel, 2)
+        got = pooled_matrix_from_covs(lag_autocov_sequence(panel, 2))
         want = pooled_oracle(panel.values, 2)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_k0_out_of_range(self):
-        panel = random_panel(3, 5)
-        with pytest.raises(PanelError):
-            pooled_matrix(panel, 5)
+    def test_no_lags_rejected(self):
+        with pytest.raises(PanelError, match="^no lag covariances supplied$"):
+            pooled_matrix_from_covs(iter(()))
 
 
 class TestLagStack:

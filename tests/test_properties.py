@@ -1,7 +1,7 @@
 """Property-based checks of the algebraic invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -9,11 +9,10 @@ from factorclust import (
     TimeSeriesPanel,
     detect_no_cluster,
     detection_errors,
-    lag_autocov,
     misclassification_count,
-    pooled_matrix,
     similarity_matrix,
 )
+from factorclust.panel import lag_autocov_sequence, lag_stack, pooled_matrix_from_covs
 
 from oracles import lag_autocov_oracle, misclassification_oracle
 
@@ -28,19 +27,29 @@ int_panels = arrays(
 )
 
 
-@given(values=int_panels, k=st.integers(0, 11))
-def test_lag_autocov_matches_loop_oracle(values, k):
+@given(values=int_panels, k0=st.integers(0, 11))
+@example(values=np.arange(12).reshape(3, 4) % 5, k0=3)  # p <= n: S(k) held
+@example(values=np.arange(18).reshape(6, 3) % 7, k0=2)  # p > n: U and C(k) held
+def test_lag_stack_matches_loop_oracle(values, k0):
     panel = TimeSeriesPanel(values=values.astype(float))
-    k = k % panel.n
-    got = lag_autocov(panel, k)
-    np.testing.assert_allclose(got, lag_autocov_oracle(panel.values, k), atol=1e-12)
+    k0 = k0 % panel.n
+    stack = lag_stack(panel, k0)
+    # every |S(k)| entry is at most max|S(0)|, by Cauchy-Schwarz
+    want = [lag_autocov_oracle(panel.values, k) for k in range(k0 + 1)]
+    atol = 1e-12 * np.abs(want[0]).max()
+    for k in range(k0 + 1):
+        if stack.basis is None:
+            got = stack.covs[k]
+        else:
+            got = stack.basis @ stack.covs[k] @ stack.basis.T
+        np.testing.assert_allclose(got, want[k], rtol=0, atol=atol)
 
 
 @given(values=int_panels, k0=st.integers(0, 5))
 def test_pooled_matrix_symmetric_psd(values, k0):
     panel = TimeSeriesPanel(values=values.astype(float))
     k0 = k0 % panel.n
-    m = pooled_matrix(panel, k0)
+    m = pooled_matrix_from_covs(lag_autocov_sequence(panel, k0))
     np.testing.assert_array_equal(m, m.T)
     scale = np.linalg.norm(m, 2)
     assert np.linalg.eigvalsh(m).min() >= -1e-10 * max(scale, 1.0)

@@ -1,5 +1,4 @@
 import multiprocessing
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,20 +8,16 @@ from factorclust import (
     MonteCarloConfig,
     ScenarioSpec,
     SimulationError,
-    cumulative_ratio_sequence,
     generate_example1,
-    generate_robustness,
     generate_scenario,
     read_scenario_config,
     replication_record,
     run_monte_carlo,
     scenario_i,
     scenario_ii,
-    select_factor_counts,
 )
 import factorclust._blas as blas
 import factorclust.simulation as sim
-from factorclust.factor_count import FactorCountError
 from factorclust.simulation import _ar1_paths, _draw_coefficients, _ma1_paths
 
 from oracles import numpy_openblas
@@ -209,54 +204,6 @@ class TestExample1:
         assert abs(np.linalg.norm(pop.A) - 1.0) < 1e-12
         np.testing.assert_allclose(pop.B.T @ pop.B, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(pop.A.T @ pop.B, 0.0, atol=1e-12)
-
-
-class TestRobustness:
-    def test_zero_demoted_identical(self):
-        spec = ScenarioSpec(n=80, d=2, p1=5, p_extra=2, seed=6)
-        p1, t1 = generate_scenario(spec)
-        p2, t2 = generate_robustness(spec, 0)
-        np.testing.assert_array_equal(p1.values, p2.values)
-        assert t2.effective_counts == t1.intended_counts
-        assert t2.demoted_columns == ()
-
-    def test_demoted_column_norm(self):
-        spec = scenario_i(p1=25, seed=7)
-        _, truth = generate_robustness(spec, 1)
-        j = truth.demoted_columns[0]
-        target = spec.p ** (1.0 - truth.delta_implied)
-        ratio = np.sum(truth.A[:, j] ** 2) / target
-        assert 0.5 <= ratio <= 2.0
-        assert truth.effective_counts == (1, 11)
-
-    def test_demoted_out_of_range(self):
-        with pytest.raises(SimulationError, match="demoted"):
-            generate_robustness(scenario_i(), 3)
-
-    def test_counting_shifts_one_tier(self):
-        # the demoted factor usually lands on the weak tier
-        tallies = {}
-        for seed in range(10):
-            spec = replace(scenario_i(p1=25), seed=500 + seed)
-            panel, _ = generate_robustness(spec, 1)
-            report = cumulative_ratio_sequence(panel, k0=5)
-            try:
-                sel = select_factor_counts(report)
-            except FactorCountError:
-                sel = None
-            tallies[sel] = tallies.get(sel, 0) + 1
-        assert max(tallies, key=tallies.get) == (1, 11)
-
-    def test_misclassification_stays_small(self):
-        from factorclust.simulation import _evaluate_branch
-
-        spec = replace(scenario_i(p1=25), seed=501)
-        panel, truth = generate_robustness(spec, 1)
-        config = MonteCarloConfig()
-        out = _evaluate_branch(
-            panel, truth, *truth.effective_counts, config, seed=0
-        )
-        assert out["tau_rate"] <= 0.05
 
 
 class TestMonteCarlo:
