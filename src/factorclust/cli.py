@@ -112,6 +112,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         raise CliError(
             "USAGE", f"--d {args.d}", "the cluster count must be at least 1"
         )
+    if args.restarts < 1:
+        raise CliError(
+            "USAGE", f"--restarts {args.restarts}",
+            "the number of K-means restarts must be at least 1",
+        )
     _check_k0(args.k0)
     path = _require_file(args.input)
     labels = None

@@ -21,6 +21,14 @@ fallback: it gives the count when p is too small for Lanczos to pay, when
 ARPACK fails, when even the k-th Ritz value exceeds c, or when a Ritz
 value lies within ``RITZ_MARGIN`` of c.
 
+Both |B B^T| and the similarity are Gram products X X^T of a C-contiguous
+X.  numpy computes such a product by the symmetric rank-k (syrk) BLAS
+routine, which fills one triangle, and copies that triangle into the
+other, so both matrices equal their transposes bit for bit at any BLAS
+thread count and nothing symmetrizes them afterwards.  Each function reads
+its input with ``np.ascontiguousarray``: that copies only a strided view,
+the one layout for which numpy would take a general product instead.
+
 K-means works from the squared row norms sq[i] = ||x_i||^2, computed once
 per call.  Seeding reads point-to-point distances off one Gram matrix
 G = X X^T,
@@ -142,26 +150,12 @@ def detect_no_cluster(weak, omega: float) -> np.ndarray:
     return np.flatnonzero(norms <= omega)
 
 
-def _symmetrize(s: np.ndarray) -> None:
-    """Replace square ``s`` by (s + s^T) / 2 in place, bit for bit, through
-    temporaries of at most 128 rows: ``s += s.T`` would copy all of s^T
-    first."""
-    p = s.shape[0]
-    block = 128
-    for i in range(0, p, block):
-        j = min(i + block, p)
-        # rows i:j and columns i:j left of column j still hold their inputs
-        t = s[i:j, :j] + s[:j, i:j].T
-        t *= 0.5
-        s[i:j, :j] = t
-        s[:j, i:j] = t.T
-
-
 def cluster_upper_bound(weak, n: int) -> int:
     """Count of eigenvalues of S = |B B^T| strictly above c = 1 - 1/log(n).
 
     ``weak`` may be a LoadingMatrix or a plain (p, r) array.  S is built
-    and symmetrized in one p x p buffer.
+    in one p x p buffer from B read C-contiguous, so B B^T takes numpy's
+    syrk path and S equals its transpose bit for bit.
 
     The squared eigenvalues of S sum to ||S||_F^2 (r for orthonormal B),
     so fewer than ||S||_F^2 / c^2 of them exceed c.  ARPACK's Lanczos
@@ -174,12 +168,11 @@ def cluster_upper_bound(weak, n: int) -> int:
     """
     if n < 3:
         raise ClusteringError(f"n must be at least 3, got {n}")
-    b = np.asarray(getattr(weak, "matrix", weak), dtype=float)
+    b = np.ascontiguousarray(getattr(weak, "matrix", weak), dtype=float)
     p = b.shape[0]
     c = 1.0 - 1.0 / math.log(n)
     s = b @ b.T
     np.abs(s, out=s)
-    _symmetrize(s)
     k = int(float(np.vdot(s, s)) * (1.0 + 1e-12) / c**2) + 1
     if LANCZOS_P_PER_K * k <= p:
         try:
@@ -196,7 +189,10 @@ def cluster_upper_bound(weak, n: int) -> int:
 def similarity_matrix(weak_retained: np.ndarray) -> np.ndarray:
     """Absolute cosine similarity between rows of the retained loadings.
 
-    Symmetric, unit diagonal, entries in [0, 1].
+    Symmetric, unit diagonal, entries in [0, 1].  F is read C-contiguous,
+    so F F^T takes numpy's syrk path and equals its transpose bit for bit;
+    the absolute value and the division by the outer product of the norms
+    run in place on that one m x m buffer.
 
     Raises
     ------
@@ -204,7 +200,7 @@ def similarity_matrix(weak_retained: np.ndarray) -> np.ndarray:
         On a zero-norm row, which means the no-cluster detection step
         was skipped.
     """
-    f = np.asarray(weak_retained, dtype=float)
+    f = np.ascontiguousarray(weak_retained, dtype=float)
     if f.ndim != 2:
         raise ClusteringError(f"retained loadings must be 2-d, got shape {f.shape}")
     norms = np.linalg.norm(f, axis=1)
@@ -213,8 +209,9 @@ def similarity_matrix(weak_retained: np.ndarray) -> np.ndarray:
         raise ClusteringError(
             f"zero-norm row {bad}: run the no-cluster detection step first"
         )
-    sim = np.abs(f @ f.T) / np.outer(norms, norms)
-    sim = (sim + sim.T) / 2.0
+    sim = f @ f.T
+    np.abs(sim, out=sim)
+    sim /= np.outer(norms, norms)
     np.clip(sim, 0.0, 1.0, out=sim)
     np.fill_diagonal(sim, 1.0)
     return sim
@@ -498,7 +495,6 @@ class ClusteringResult:
     d_hat: int
     d_used: int
     assignments: np.ndarray
-    similarity: np.ndarray
     wcss_by_d: dict[int, float]
     retained_indices: np.ndarray
     counts: tuple[int, int]  # (r0, r) actually used
@@ -510,11 +506,6 @@ class ClusteringResult:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        sim = self.similarity
-        if np.abs(sim - sim.T).max() > 1e-12:
-            raise ClusteringError("similarity matrix is not symmetric")
-        if np.abs(np.diag(sim) - 1.0).max() > 1e-12:
-            raise ClusteringError("similarity diagonal deviates from 1")
         if len(self.assignments) != len(self.retained_indices):
             raise ClusteringError("one assignment per retained series required")
         present = np.unique(self.assignments)
@@ -643,7 +634,7 @@ def cluster_pipeline(
     curve = wcss_curve(sim, d_top, restarts=restarts, seed=seed)
     wcss_by_d = {dd: res.wcss for dd, res in curve.items()}
     if d is None:
-        d_used = elbow_select({dd: wcss_by_d[dd] for dd in range(1, d_cap + 1)}, d_cap)
+        d_used = elbow_select(wcss_by_d, d_cap)
     else:
         d_used = d
     final = curve[d_used]
@@ -670,7 +661,6 @@ def cluster_pipeline(
         d_hat=d_hat,
         d_used=d_used,
         assignments=assignments,
-        similarity=sim,
         wcss_by_d=wcss_by_d,
         retained_indices=retained,
         counts=(r0, r),

@@ -403,8 +403,10 @@ def lag_stack(panel: TimeSeriesPanel | LagStack, k0: int) -> LagStack:
 def pooled_matrix_from_covs(covs: Iterable[np.ndarray]) -> np.ndarray:
     """Pool M = sum_k S(k) S(k)^T of p x p lag covariances, a p x p array.
 
-    The sum is symmetrized after accumulation.  ``covs`` is consumed once,
-    so it may be a generator.
+    Each S(k) is read C-contiguous, so numpy computes S(k) S(k)^T by the
+    symmetric rank-k (syrk) BLAS routine, which fills one triangle, and
+    mirrors it: every term, and so the sum, equals its transpose bit for
+    bit.  ``covs`` is consumed once, so it may be a generator.
 
     Raises
     ------
@@ -413,9 +415,10 @@ def pooled_matrix_from_covs(covs: Iterable[np.ndarray]) -> np.ndarray:
     """
     acc: np.ndarray | None = None
     for cov in covs:
+        cov = np.ascontiguousarray(cov)
         term = cov @ cov.T
         acc = term if acc is None else acc + term
     if acc is None:
         raise PanelError("no lag covariances supplied")
-    return (acc + acc.T) / 2.0
+    return acc
 

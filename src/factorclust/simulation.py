@@ -149,15 +149,6 @@ class ScenarioTruth:
     permutation: np.ndarray | None   # observed = original[permutation]
     intended_counts: tuple[int, int]
 
-    def inverse_permutation(self) -> np.ndarray:
-        if self.permutation is None:
-            return np.arange(len(self.membership))
-        return np.argsort(self.permutation)
-
-    def unpermuted_B(self) -> np.ndarray:
-        """Weak loadings back in block order (clusters first, zeros last)."""
-        return self.B_padded[self.inverse_permutation()]
-
 
 def _draw_coefficients(rng: np.random.Generator, count: int,
                        magnitude: tuple[float, float]) -> np.ndarray:

@@ -7,13 +7,11 @@ not affect any result.
 """
 
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from factorclust import (
-    LoadingMatrix,
     TimeSeriesPanel,
     MonteCarloConfig,
     ScenarioSpec,

@@ -163,14 +163,22 @@ class TestClusterCommand:
                   for report in (one_report, two_report)]
         np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-12)
 
-    @pytest.mark.parametrize("restarts", ["0", "-2"])
-    def test_restarts_below_one(self, small_panel, tmp_path, capsys, restarts):
-        path, _, _ = small_panel
+    @pytest.mark.parametrize("restarts, missing", [
+        pytest.param("0", False, id="0"),
+        pytest.param("-2", False, id="-2"),
+        pytest.param("0", True, id="0-missing-input"),  # usage is checked first
+    ])
+    def test_restarts_below_one(self, small_panel, tmp_path, capsys, restarts, missing):
+        path = tmp_path / "missing.csv" if missing else small_panel[0]
         code = main(["cluster", str(path), "--r0", "1", "--r", "2", "--d", "3",
                      "--restarts", restarts, "--out", str(tmp_path / "out")])
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
-        assert lines == [f"E_CLUSTERING: cluster: restarts={restarts} must be at least 1"]
+        assert lines == [
+            f"E_USAGE: --restarts {restarts}: "
+            "the number of K-means restarts must be at least 1"
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_nan_omega_rejected(self, small_panel, tmp_path, capsys):
         path, _, _ = small_panel

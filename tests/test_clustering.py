@@ -14,7 +14,6 @@ import factorclust
 
 from factorclust import (
     ClusteringError,
-    LoadingMatrix,
     ScenarioSpec,
     TimeSeriesPanel,
     cluster_pipeline,
@@ -34,7 +33,6 @@ from factorclust.clustering import (
     _candidate_inits,
     _lloyd,
     _split_farthest,
-    _symmetrize,
 )
 from oracles import (
     jacobi_eigh,
@@ -262,13 +260,6 @@ class TestClusterUpperBoundPartialSpectrum:
         # ||S||_F^2 = p - 1, so k = floor((p - 1) / c^2) + 1 >= p
         assert cluster_upper_bound(b, 10**6) == p - 1
         assert not eigsh.results and len(eigvalsh.results) == 1
-
-    @pytest.mark.parametrize("p", [1, 5, 127, 128, 129, 300])
-    def test_blockwise_symmetrize_is_bit_identical(self, p):
-        a = np.random.default_rng(p).standard_normal((p, p)) * 10.0 ** np.arange(p)[:, None] % 7
-        s = a.copy()
-        _symmetrize(s)
-        np.testing.assert_array_equal(s, (a + a.T) / 2.0)
 
     def test_blas_thread_count_leaves_d_hat_unchanged(self):
         # the wide benchmark shape: 1000 series over 250 days
@@ -556,7 +547,8 @@ class TestPinnedCurve:
         result = cluster_pipeline(
             panel, counts=(spec.r0, spec.r_per_cluster * spec.d), seed=0
         )
-        return wcss_curve(result.similarity, 8, seed=3), result.similarity
+        sim = similarity_matrix(result.weak.matrix[result.retained_indices])
+        return wcss_curve(sim, 8, seed=3), sim
 
     def test_partitions(self, curve_and_points):
         curve, _ = curve_and_points

@@ -11,7 +11,6 @@ from factorclust import (
     generate_example1,
     generate_scenario,
     read_scenario_config,
-    replication_record,
     run_monte_carlo,
     scenario_i,
     scenario_ii,
@@ -87,24 +86,23 @@ class TestGenerateScenario:
     def test_block_structure_exact(self):
         spec = ScenarioSpec(n=80, d=3, p1=5, p_extra=4, r0=1, r_per_cluster=2, seed=1)
         _, truth = generate_scenario(spec)
-        b = truth.unpermuted_B()
+        b, membership = truth.B_padded, truth.membership
         for j in range(spec.d):
-            rows = slice(j * spec.p1, (j + 1) * spec.p1)
+            rows = membership == j + 1
+            assert rows.sum() == spec.p1
             cols = slice(j * spec.r_per_cluster, (j + 1) * spec.r_per_cluster)
             block = b[rows, cols]
             assert np.all(block != 0.0)
             outside = b[rows].copy()
             outside[:, cols] = 0.0
             assert np.all(outside == 0.0)
-        assert np.all(b[spec.p0:] == 0.0)
+        assert np.all(b[membership == 0] == 0.0)
 
     def test_membership_consistent_with_permutation(self):
         spec = ScenarioSpec(n=60, d=2, p1=4, p_extra=2, seed=3)
         _, truth = generate_scenario(spec)
-        inverse = truth.inverse_permutation()
-        restored = truth.membership[inverse]
         expected = np.array([1] * 4 + [2] * 4 + [0] * 2)
-        np.testing.assert_array_equal(restored, expected)
+        np.testing.assert_array_equal(truth.membership, expected[truth.permutation])
         np.testing.assert_array_equal(
             truth.J_true, np.flatnonzero(truth.membership == 0)
         )

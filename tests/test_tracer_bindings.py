@@ -1,6 +1,6 @@
 """Every binding the benchmark's span tracer wraps still exists, no other
-import in the package goes unused, and no public name is reached only by
-the tests.
+import in the package, the tests or the demos goes unused, and no public
+name is reached only by the tests.
 
 ``perfbench/tracer.py`` replaces each ``STAGES`` entry by a wrapper under
 the module attribute the package looks it up by; a traced run fails if
@@ -21,6 +21,7 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 MODULES = sorted(
     p for p in (ROOT / "src" / "factorclust").glob("*.py") if p.name != "__init__.py"
 )
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _load_tracer():
@@ -64,9 +65,13 @@ def unused_imports(source: str, module_name: str, bindings: set) -> list[str]:
     )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=[p.stem for p in MODULES] + [f"{p.parent.name}/{p.stem}" for p in SCRIPTS],
+)
 def test_no_unused_import(path):
-    bindings = {(m, a) for m, a, _ in tracer.STAGES}
+    # the tracer wraps package bindings only: no test or demo import is exempt
+    bindings = {(m, a) for m, a, _ in tracer.STAGES} if path in MODULES else set()
     module_name = f"factorclust.{path.stem}"
     assert unused_imports(path.read_text(encoding="utf-8"), module_name, bindings) == []
 
