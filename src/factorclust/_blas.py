@@ -1,12 +1,16 @@
 """Process-wide OpenBLAS thread control.
 
-numpy and scipy each bundle their own OpenBLAS build.  Both are found once
-per process, in ``/proc/self/maps``, on first use; by then the package
-import has loaded scipy's build too.  Where ``/proc`` or the thread API is
-missing, the controls do nothing.  The thread count is process-wide, so
-code on other Python threads of the process sees the setting while a body
-runs.  Bodies may overlap across Python threads: the first to enter saves
-the counts, and the last to leave restores them.
+numpy and scipy each bundle their own OpenBLAS build.  The builds are
+found in ``/proc/self/maps``: once at the first use of the controls, and
+once more at the first Lanczos call of ``clustering.cluster_upper_bound``
+(``rescan_once``).  The package imports scipy only where a run needs it,
+so the first scan may come before scipy's build is loaded; the Lanczos
+call is the one step that runs on that build, and the second scan finds
+it whoever loaded scipy.  Where ``/proc`` or the thread API is missing,
+the controls do nothing.  The thread count is process-wide, so code on
+other Python threads of the process sees the setting while a body runs.
+Bodies may overlap across Python threads: the first to enter saves the
+counts, and the last to leave restores them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import ctypes
 import os
 import threading
 from contextlib import contextmanager, nullcontext
-from functools import cache
 
 # The thin QR and the per-lag SVDs run on one BLAS thread when
 # m = min(p, n) <= ONE_THREAD_MAX_DIM.  Medians on 2 vCPUs, two OpenBLAS
@@ -38,25 +41,23 @@ _OPENBLAS_THREAD_API = (
 )
 
 
-@cache
-def _openblas_thread_controls() -> tuple[tuple, ...]:
-    """(setter, getter) of every OpenBLAS build loaded in this process.
+def _scan() -> dict[str, tuple]:
+    """(setter, getter) of each OpenBLAS build loaded now, by its path.
 
     The builds are found in ``/proc/self/maps``; where that file is missing
     or a build exports none of the API, the result holds nothing for it.
-    The result is cached: a forked process shares its parent's libraries.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
             lines = maps.read().splitlines()
     except OSError:
-        return ()
+        return {}
     paths = set()
     for line in lines:
         parts = line.split(maxsplit=5)  # address perms offset dev inode path
         if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower():
             paths.add(parts[5])
-    controls = []
+    controls = {}
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
@@ -67,26 +68,64 @@ def _openblas_thread_controls() -> tuple[tuple, ...]:
                 setter, getter = getattr(lib, set_name), getattr(lib, get_name)
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 getter.argtypes, getter.restype = [], ctypes.c_int
-                controls.append((setter, getter))
+                controls[path] = (setter, getter)
                 break
-    return tuple(controls)
+    return controls
 
 
-# bodies running now, and the counts saved by the first of them; the count
-# they guard is process-wide, so this state is too
+# bodies running now, the counts saved by the first of them, and the builds
+# found so far (None before the first scan); the count they guard is
+# process-wide, so this state is too.  A forked process inherits it and
+# shares its parent's libraries.
 _lock = threading.Lock()
 _active = 0
 _saved: list[tuple] = []
+_builds: dict[str, tuple] | None = None
+_rescanned = False
 if hasattr(os, "register_at_fork"):  # POSIX
     # a fork never copies the lock while another thread holds it
     os.register_at_fork(before=_lock.acquire, after_in_parent=_lock.release,
                         after_in_child=_lock.release)
 
 
+def _openblas_thread_controls() -> tuple[tuple, ...]:
+    """(setter, getter) of every OpenBLAS build found in this process.
+
+    The first call scans; later calls return what the scans found.  The
+    caller holds ``_lock``.
+    """
+    global _builds
+    if _builds is None:
+        _builds = _scan()
+    return tuple(_builds.values())
+
+
+def rescan_once() -> None:
+    """Find the OpenBLAS builds loaded since the first scan, once per process.
+
+    Inside a body, each build found now for the first time is set to one
+    thread, and its count is restored with the others when the last body
+    exits.
+    """
+    global _builds, _rescanned
+    with _lock:
+        if _rescanned:
+            return
+        _rescanned = True
+        known = _builds or {}
+        _builds = _scan()
+        if _active:
+            for path, (setter, getter) in _builds.items():
+                if path not in known:
+                    _saved.append((setter, getter()))
+                    setter(1)
+
+
 @contextmanager
 def _one_blas_thread():
-    """Run the body with every loaded OpenBLAS build on one thread.
+    """Run the body with every OpenBLAS build found on one thread.
 
+    A build that ``rescan_once`` finds while the body runs joins them.
     Each build's previous thread count is restored on exit, also when the
     body raises; with bodies overlapping on several Python threads, when
     the last of them exits.  A process forked inside the body inherits the

@@ -76,6 +76,31 @@ def _check_k0(k0: int, n: int | None = None) -> None:
         raise CliError("USAGE", f"--k0 {k0}", f"the largest lag must be below n={n}")
 
 
+def _check_j0(j0: int | None) -> None:
+    """Usage error for a ``--j0`` below 2; J0 <= p is checked with the panel."""
+    if j0 is not None and j0 < 2:
+        raise CliError(
+            "USAGE", f"--j0 {j0}", "the ratio truncation point must be at least 2"
+        )
+
+
+def _counts_override(r0: int | None, r: int | None) -> tuple[int, int] | None:
+    """``(--r0, --r)`` as the counts override, or None when neither is given."""
+    if (r0 is None) != (r is None):
+        raise CliError("USAGE", "--r0/--r", "override both counts or neither")
+    if r0 is None:
+        return None
+    if r0 < 0:
+        raise CliError(
+            "USAGE", f"--r0 {r0}", "the number of strong factors must be at least 0"
+        )
+    if r < 1:
+        raise CliError(
+            "USAGE", f"--r {r}", "the number of weak factors must be at least 1"
+        )
+    return r0, r
+
+
 def _parse_omega(text: str):
     """``--omega`` as a variant name or a finite positive float."""
     if text in ("p1", "p2", "p3"):
@@ -118,17 +143,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "the number of K-means restarts must be at least 1",
         )
     _check_k0(args.k0)
+    _check_j0(args.j0)
+    counts = _counts_override(args.r0, args.r)
     path = _require_file(args.input)
     labels = None
     if args.labels:
         labels = load_labels(_require_file(args.labels))
     panel = load_panel(path, orientation=args.orientation, labels=labels)
     _check_k0(args.k0, panel.n)
-    counts = None
-    if (args.r0 is None) != (args.r is None):
-        raise CliError("USAGE", "--r0/--r", "override both counts or neither")
-    if args.r0 is not None:
-        counts = (args.r0, args.r)
     result = cluster_pipeline(
         panel,
         k0=args.k0,
@@ -165,6 +187,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_factor_count(args: argparse.Namespace) -> int:
     _check_k0(args.k0)
+    _check_j0(args.j0)
     path = _require_file(args.input)
     panel = load_panel(path, orientation=args.orientation)
     _check_k0(args.k0, panel.n)
@@ -230,7 +253,6 @@ def _cmd_example1(args: argparse.Namespace) -> int:
         raise CliError(
             "USAGE", f"--p {args.p}", "panel sizes must be comma-separated integers"
         ) from None
-    out = _out_dir(args.out)
     rows = []
     for p in sizes:
         _, pop = generate_example1(
@@ -239,6 +261,7 @@ def _cmd_example1(args: argparse.Namespace) -> int:
         )
         eigvals = np.linalg.eigvalsh(pop.pooled())[::-1][:3]
         rows.append((p, *eigvals, pop.lambda3_analytic()))
+    out = _out_dir(args.out)
     with open(out / "example1_eigenvalues.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(

@@ -19,7 +19,11 @@ eigenvalues, which the Lanczos method (ARPACK, ``eigsh``) finds without
 the full O(p^3) spectrum.  The full spectrum (``eigvalsh``) is the one
 fallback: it gives the count when p is too small for Lanczos to pay, when
 ARPACK fails, when even the k-th Ritz value exceeds c, or when a Ritz
-value lies within ``RITZ_MARGIN`` of c.
+value lies within ``RITZ_MARGIN`` of c.  ``scipy.sparse.linalg`` is
+imported at the first Lanczos call, not with the package: it takes
+0.2-0.3 s, and no run below the Lanczos size needs it.  That import
+loads scipy's OpenBLAS build, which ARPACK runs on, so the call then has
+the BLAS thread controls look for it (``_blas.rescan_once``).
 
 Both |B B^T| and the similarity are Gram products X X^T of a C-contiguous
 X.  numpy computes such a product by the symmetric rank-k (syrk) BLAS
@@ -59,8 +63,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
 
+from . import _blas
 from .factor_count import (
     FactorCountReport,
     cumulative_ratio_sequence,
@@ -175,6 +179,9 @@ def cluster_upper_bound(weak, n: int) -> int:
     np.abs(s, out=s)
     k = int(float(np.vdot(s, s)) * (1.0 + 1e-12) / c**2) + 1
     if LANCZOS_P_PER_K * k <= p:
+        from scipy.sparse.linalg import ArpackError, eigsh
+
+        _blas.rescan_once()
         try:
             ritz = eigsh(s, k, which="LA", v0=np.ones(p), return_eigenvectors=False)
         except ArpackError:
@@ -598,15 +605,15 @@ def cluster_pipeline(
     p, n = panel.p, panel.n
     factor_report: FactorCountReport | None = None
     counts_source = "override"
+    if counts is not None:
+        r0, r = counts
+        if r0 < 0 or r < 1:
+            raise ClusteringError(f"invalid counts override (r0={r0}, r={r})")
     stack = lag_stack(panel, k0)
     if counts is None:
         factor_report = cumulative_ratio_sequence(stack, k0=k0, J0=J0)
         r0, r = select_factor_counts(factor_report)
         counts_source = "estimated"
-    else:
-        r0, r = counts
-        if r0 < 0 or r < 1:
-            raise ClusteringError(f"invalid counts override (r0={r0}, r={r})")
     if r0 == 0:
         strong = LoadingMatrix(matrix=np.zeros((p, 0)))
     else:

@@ -87,8 +87,9 @@ def misclassification_count(assignments: Sequence[int], truth: Sequence[int]) ->
     between the two label sets, also when they differ in size.  Any number of
     distinct labels is accepted on either side.
     """
-    # imported here: scipy.optimize adds about 0.23 s to start-up, and only
-    # the evaluation of a known truth needs it
+    # imported at first use, as ARPACK is in cluster_upper_bound:
+    # scipy.optimize adds about 0.23 s to start-up, and only the scoring
+    # against a known truth (simulate) needs it
     from scipy.optimize import linear_sum_assignment
 
     a = np.asarray(assignments)

@@ -13,9 +13,7 @@ law (no burn-in).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -505,6 +503,10 @@ def run_monte_carlo(
     workers = min(jobs, reps)
     with _one_blas_thread():
         if workers > 1:
+            # imported here: a serial run needs neither
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
                 raw = list(pool.map(_worker, tasks))

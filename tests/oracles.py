@@ -4,13 +4,15 @@ Everything here deliberately avoids the code paths of the package:
 covariances by explicit double loops over matrix entries, eigenpairs by
 cyclic Jacobi rotations, K-means by exhaustive enumeration of label
 vectors, Lloyd's algorithm one restart at a time, and label matching by
-trying every bijection.  Slow but unambiguous.  numpy's OpenBLAS thread
-control is found from numpy's own install, not from the process's maps.
+trying every bijection.  Slow but unambiguous.  The OpenBLAS thread
+controls of numpy and scipy are found from each package's own install,
+not from the process's maps.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import math
 import os
 from itertools import permutations
@@ -210,12 +212,17 @@ def partition_sets(labels) -> set[frozenset]:
     return {frozenset(g) for g in groups.values()}
 
 
-def numpy_openblas():
-    """(setter, getter) of numpy's bundled OpenBLAS thread count, found
-    from numpy's own install; None when absent."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+def bundled_openblas(package: str):
+    """(setter, getter) of the OpenBLAS build bundled with ``package``
+    (numpy or scipy), found from its install without importing it; None
+    when the package bundles none or its build is not loaded."""
+    origin = Path(importlib.util.find_spec(package).origin).resolve()
+    libs = origin.parent.parent / f"{package}.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so")):
-        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:  # not loaded
+            continue
         for suffix in ("64_", ""):
             setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
             getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
@@ -224,3 +231,9 @@ def numpy_openblas():
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 return setter, getter
     return None
+
+
+def numpy_openblas():
+    """(setter, getter) of numpy's bundled OpenBLAS thread count; None
+    when absent."""
+    return bundled_openblas("numpy")

@@ -6,16 +6,22 @@ called.  The bound is lowered around small panels, so no test factorizes
 a matrix above the real bound.
 """
 
+import json
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import factorclust
 import factorclust._blas as blas
 from factorclust import (
     TimeSeriesPanel,
+    cluster_upper_bound,
     cumulative_ratio_sequence,
     estimate_strong_loadings,
     estimate_weak_loadings,
@@ -108,22 +114,28 @@ class TestSmallPanelRule:
 
 
 def test_lookup_runs_once_per_process(monkeypatch):
+    # one scan at the first pin, one more at the first Lanczos call, which
+    # may have loaded scipy's build; none after
     opened = []
 
     def counting_open(*args, **kwargs):
         opened.append(args[0])
         return open(*args, **kwargs)
 
-    blas._openblas_thread_controls.cache_clear()
+    rng = np.random.default_rng(3)
+    lanczos_sized = np.linalg.qr(rng.standard_normal((600, 8)))[0]
+    monkeypatch.setattr(blas, "_builds", None)
+    monkeypatch.setattr(blas, "_rescanned", False)
     monkeypatch.setattr(blas, "open", counting_open, raising=False)
-    try:
-        for _ in range(3):
-            cumulative_ratio_sequence(WIDE, k0=K0)
-        found = blas._openblas_thread_controls()
-    finally:
-        monkeypatch.undo()
-        blas._openblas_thread_controls.cache_clear()
+    for _ in range(3):
+        cumulative_ratio_sequence(WIDE, k0=K0)
     assert opened == ["/proc/self/maps"]
+    for _ in range(2):
+        cluster_upper_bound(lanczos_sized, 250)
+        cumulative_ratio_sequence(WIDE, k0=K0)
+    assert opened == ["/proc/self/maps"] * 2
+    found = blas._openblas_thread_controls()
+    monkeypatch.setattr(blas, "_builds", None)
     assert len(found) == len(blas._openblas_thread_controls())
 
 
@@ -189,3 +201,80 @@ class TestOverlappingBodies:
                 child.kill()
                 child.join()
         assert child.exitcode == 0
+
+
+# Counts of numpy's and scipy's OpenBLAS builds (None while not loaded),
+# read in a fresh process at OPENBLAS_NUM_THREADS=2: after the package
+# import, in children forked inside a pin, inside the pin after a Lanczos
+# call, and after the pin.  With argument "label-matching", scipy is first
+# loaded inside the pin by the label matching, which needs no BLAS.
+PINNED_SCRIPT = """
+import json, os, sys
+
+import numpy as np
+
+from factorclust import _blas, cluster_upper_bound, misclassification_count
+from oracles import bundled_openblas
+
+
+def counts():
+    found = {pkg: bundled_openblas(pkg) for pkg in ("numpy", "scipy")}
+    return {pkg: None if c is None else c[1]() for pkg, c in found.items()}
+
+
+def in_child(work):
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            work()
+            os.write(write, json.dumps(counts()).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        text = fh.read()
+    os.waitpid(pid, 0)
+    return json.loads(text or "null")
+
+
+b = np.linalg.qr(np.random.default_rng(3).standard_normal((600, 8)))[0]
+out = {"scipy_modules": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+       "before": counts()}
+with _blas._one_blas_thread():
+    if sys.argv[1] == "label-matching":
+        misclassification_count([0, 1, 1], [1, 0, 0])
+    out["before_lanczos"] = counts()
+    out["child_lanczos"] = in_child(lambda: cluster_upper_bound(b, 250))
+    cluster_upper_bound(b, 250)
+    out["inside"] = counts()
+    out["child_after_lanczos"] = in_child(lambda: None)
+out["after"] = counts()
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("first_import", ["lanczos", "label-matching"])
+def test_scipy_build_pinned_when_loaded_late(first_import):
+    src = Path(factorclust.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    done = subprocess.run([sys.executable, "-c", PINNED_SCRIPT, first_import],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    if out["before"]["numpy"] != 2:
+        pytest.skip("numpy's scipy-openblas build cannot run two threads here")
+    assert out["scipy_modules"] == []
+    assert out["before"] == {"numpy": 2, "scipy": None}
+    # the label matching loads scipy's build and leaves it on two threads
+    scipy_before = None if first_import == "lanczos" else 2
+    assert out["before_lanczos"] == {"numpy": 1, "scipy": scipy_before}
+    pinned = {"numpy": 1, "scipy": 1}
+    assert out["child_lanczos"] == pinned
+    assert out["inside"] == pinned
+    assert out["child_after_lanczos"] == pinned
+    assert out["after"] == {"numpy": 2, "scipy": 2}

@@ -23,6 +23,16 @@ def write_panel_csv(path, panel, ids=None):
     return ids
 
 
+def _python(*args, **env_vars):
+    """Run the interpreter on ``args`` with the package importable and
+    ``env_vars`` added to the environment."""
+    src = str(Path(factorclust.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
 @pytest.fixture()
 def small_panel(tmp_path):
     spec = ScenarioSpec(n=300, d=3, p1=8, p_extra=4, r0=1, r_per_cluster=1, seed=17)
@@ -141,16 +151,11 @@ class TestClusterCommand:
         # either setting; the lag products and eigh follow OPENBLAS_NUM_THREADS
         path = tmp_path / "panel.csv"
         write_panel_csv(path, generate_scenario(spec)[0])
-        src = str(Path(factorclust.__file__).resolve().parents[1])
         runs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            done = subprocess.run(
-                [sys.executable, "-m", "factorclust", "cluster", str(path), "--k0", "3",
-                 "--out", str(out)],
-                capture_output=True, text=True, env=env, timeout=300)
+            done = _python("-m", "factorclust", "cluster", str(path), "--k0", "3",
+                           "--out", str(out), OPENBLAS_NUM_THREADS=threads)
             assert done.returncode == 0, done.stderr
             runs.append((json.loads((out / "clustering_result.json").read_text()),
                          json.loads((out / "factor_count_report.json").read_text())))
@@ -202,6 +207,23 @@ class TestClusterCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"E_USAGE: {flag} {value}: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, detail", [
+    pytest.param("cluster", ["--r0", "2"], "--r0/--r", id="r0-only"),
+    pytest.param("cluster", ["--r", "2"], "--r0/--r", id="r-only"),
+    pytest.param("cluster", ["--r0", "-1", "--r", "3"], "--r0 -1", id="r0-negative"),
+    pytest.param("cluster", ["--r0", "1", "--r", "0"], "--r 0", id="r-zero"),
+    pytest.param("cluster", ["--j0", "1"], "--j0 1", id="cluster-j0-1"),
+    pytest.param("factor-count", ["--j0", "1"], "--j0 1", id="factor-count-j0-1"),
+])
+def test_counts_and_j0_checked_before_input(tmp_path, capsys, command, flags, detail):
+    out = tmp_path / "out"
+    code = main([command, str(tmp_path / "missing.csv"), *flags, "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"E_USAGE: {detail}: ")
+    assert not out.exists()
 
 
 class TestFactorCountCommand:
@@ -290,17 +312,13 @@ class TestSimulateCommand:
         assert outs[0] == outs[1]
 
     def test_output_independent_of_blas_threads(self, tmp_path):
-        src = str(Path(factorclust.__file__).resolve().parents[1])
         written = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            done = subprocess.run(
-                [sys.executable, "-m", "factorclust", "simulate", "--scenario", "I",
-                 "--p1", "10", "--reps", "3", "--k0", "3", "--estimated-counts",
-                 "--out", str(out)],
-                capture_output=True, text=True, env=env, timeout=300)
+            done = _python("-m", "factorclust", "simulate", "--scenario", "I",
+                           "--p1", "10", "--reps", "3", "--k0", "3",
+                           "--estimated-counts", "--out", str(out),
+                           OPENBLAS_NUM_THREADS=threads)
             assert done.returncode == 0, done.stderr
             written.append({path.name: path.read_bytes()
                             for path in sorted(out.iterdir())})
@@ -374,24 +392,52 @@ class TestExample1Command:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("E_USAGE: --p abc:")
 
+    def test_no_output_directory_on_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["example1", "--p", "50,2", "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("E_CONFIG: example1: ")
+        assert not out.exists()
+
 
 def test_module_entry_point_help():
-    src = str(Path(factorclust.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "factorclust", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = _python("-m", "factorclust", "--help")
     assert done.returncode == 0, done.stderr
     assert "cluster" in done.stdout
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only label matching against a known truth needs scipy.optimize
-    src = str(Path(factorclust.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = "import sys, factorclust.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
+# modules of scipy and of the process pool; a run that needs none of them
+# does not pay for their import
+LATE_MODULES = ("scipy", "multiprocessing", "concurrent")
+LOADED = f"sorted(m for m in sys.modules if m.split('.')[0] in {LATE_MODULES!r})"
+
+
+def test_import_leaves_scipy_and_the_pool_unloaded():
+    done = _python("-c", f"import sys, factorclust.cli; print({LOADED})")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
+
+
+def test_commands_below_the_lanczos_size_never_load_scipy(small_panel, tmp_path):
+    # scenario I at p1 = 25 is 150 x 400: cluster_upper_bound counts on the
+    # full spectrum there
+    panel, _ = generate_scenario(ScenarioSpec(n=400, d=5, p1=25, p_extra=25,
+                                              r0=2, r_per_cluster=2, seed=3))
+    scenario = tmp_path / "scenario.csv"
+    write_panel_csv(scenario, panel)
+    runs = [
+        ["factor-count", str(small_panel[0]), "--out", str(tmp_path / "fc")],
+        ["example1", "--p", "50", "--out", str(tmp_path / "e1")],
+        ["cluster", str(scenario), "--out", str(tmp_path / "cl")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from factorclust.cli import main\n"
+        "seen = [(main(argv), %s) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(seen))\n" % LOADED
+    )
+    done = _python("-c", script, json.dumps(runs))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [[0, []]] * len(runs)
+    assert (tmp_path / "cl" / "clustering_result.json").is_file()

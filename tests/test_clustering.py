@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -176,9 +177,9 @@ class _Spy:
 
 @pytest.fixture()
 def spies(monkeypatch):
-    eigsh = _Spy(clustering_module.eigsh)
+    eigsh = _Spy(scipy.sparse.linalg.eigsh)
     eigvalsh = _Spy(np.linalg.eigvalsh)
-    monkeypatch.setattr(clustering_module, "eigsh", eigsh)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     return eigsh, eigvalsh
 
@@ -242,7 +243,7 @@ class TestClusterUpperBoundPartialSpectrum:
         b = _grouped_loadings(600, 8, 4, "orthonormal", 0, seed=3)
         want = _dense_count(b, 250)
         eigvalsh = _Spy(np.linalg.eigvalsh)
-        monkeypatch.setattr(clustering_module, "eigsh", fake_eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fake_eigsh)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         assert cluster_upper_bound(b, 250) == want
         assert len(eigvalsh.results) == 1
@@ -643,6 +644,17 @@ class TestPipeline:
         panel, _ = generate_scenario(spec)
         with pytest.raises(ClusteringError, match="counts"):
             cluster_pipeline(panel, counts=(-1, 2))
+
+    @pytest.mark.parametrize("counts", [(-1, 2), (1, 0)], ids=["r0-negative", "r-zero"])
+    def test_invalid_counts_rejected_before_the_lag_stack(self, monkeypatch, counts):
+        built = []
+        monkeypatch.setattr(clustering_module, "lag_stack",
+                            lambda *args: built.append(args))
+        rng = np.random.default_rng(14)
+        panel = TimeSeriesPanel(values=rng.standard_normal((12, 60)))
+        with pytest.raises(ClusteringError, match="invalid counts override"):
+            cluster_pipeline(panel, counts=counts)
+        assert built == []
 
     def test_permutation_equivariance(self):
         spec = ScenarioSpec(n=250, d=3, p1=8, p_extra=4, r0=1, r_per_cluster=1, seed=21)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 from pathlib import Path
 
@@ -283,7 +284,7 @@ def recording_pool(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return started
 
 
@@ -353,15 +354,12 @@ class TestOneBlasThread:
             raise FileNotFoundError("/proc/self/maps")
 
         monkeypatch.setattr(blas, "open", no_proc, raising=False)
-        # the lookup is cached per process: look again, and forget the
-        # result so that later tests find the real builds
-        blas._openblas_thread_controls.cache_clear()
-        try:
-            assert blas._openblas_thread_controls() == ()
-            with blas._one_blas_thread():
-                pass
-        finally:
-            blas._openblas_thread_controls.cache_clear()
+        # the lookup keeps what it found per process: look again; the
+        # builds found before come back when the test ends
+        monkeypatch.setattr(blas, "_builds", None)
+        assert blas._openblas_thread_controls() == ()
+        with blas._one_blas_thread():
+            pass
 
     def test_lookup_finds_numpy_build(self):
         if numpy_openblas() is None:

@@ -11,6 +11,7 @@ numpy would take a general, slightly asymmetric product.
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from factorclust import (
     MonteCarloConfig,
@@ -73,9 +74,9 @@ def built(monkeypatch):
     pools = _Recorder(pooled_matrix_from_covs)
     sims = _Recorder(similarity_matrix)
     # every count goes to ARPACK first, so its spy sees each |B B^T|
-    d_hat = _Recorder(clustering.eigsh, arg=True)
+    d_hat = _Recorder(scipy.sparse.linalg.eigsh, arg=True)
     monkeypatch.setattr(clustering, "LANCZOS_P_PER_K", 0)
-    monkeypatch.setattr(clustering, "eigsh", d_hat)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", d_hat)
     for module in (loadings, factor_count):
         monkeypatch.setattr(module, "pooled_matrix_from_covs", pools)
     for module in (clustering, simulation):
