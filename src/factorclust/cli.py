@@ -9,8 +9,17 @@ example1     population eigenvalues of the rank-blind-spot construction
 
 Every output file carries the tuning provenance (seed, k0, J0, omega,
 overrides) needed to reproduce it.  Errors print one machine-parsable
-line ``E_<CODE>: <detail>: <message>`` on stderr and exit nonzero.
-All tables are written as CSV; plotting is left to downstream tools.
+line ``E_<CODE>: <detail>: <message>`` on stderr and exit 1; a malformed
+command line is one ``E_USAGE`` line, not argparse's usage text.  The
+parser checks every bound, so each fails before any file is read and the
+first wrong option is the one reported: ``--k0 >= 0``, ``--j0 >= 2``,
+``--r0 >= 0``, ``--r >= 1``, ``--d >= 1``, ``--restarts``, ``--reps`` and
+``--jobs >= 1``, ``--omega`` p1, p2, p3 or a finite positive number, and
+``example1 --p`` comma-separated integers.  The commands check the
+``--r0``/``--r`` pairing and ``--config`` or ``--scenario`` before any
+file is read, and ``--k0 < n`` once n is known.  All tables are written
+as CSV and every text output as UTF-8; plotting is left to downstream
+tools.
 """
 
 from __future__ import annotations
@@ -68,37 +77,29 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _check_k0(k0: int, n: int | None = None) -> None:
-    """Usage error for a negative ``--k0`` or, once n is known, k0 >= n."""
-    if k0 < 0:
-        raise CliError("USAGE", f"--k0 {k0}", "the largest lag must be at least 0")
-    if n is not None and k0 >= n:
+def _check_k0(k0: int, n: int) -> None:
+    """Usage error for a ``--k0`` at or past the panel's n time points."""
+    if k0 >= n:
         raise CliError("USAGE", f"--k0 {k0}", f"the largest lag must be below n={n}")
 
 
-def _check_j0(j0: int | None) -> None:
-    """Usage error for a ``--j0`` below 2; J0 <= p is checked with the panel."""
-    if j0 is not None and j0 < 2:
-        raise CliError(
-            "USAGE", f"--j0 {j0}", "the ratio truncation point must be at least 2"
-        )
+def _add_bounded(parser, flag: str, low: int, message: str, **kwargs) -> None:
+    """Add an integer option whose values below ``low`` are usage errors."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise CliError("USAGE", f"{flag} {value}", message)
+        return value
+
+    convert.__name__ = "int"  # argparse names the type in its own errors
+    parser.add_argument(flag, type=convert, **kwargs)
 
 
 def _counts_override(r0: int | None, r: int | None) -> tuple[int, int] | None:
     """``(--r0, --r)`` as the counts override, or None when neither is given."""
     if (r0 is None) != (r is None):
         raise CliError("USAGE", "--r0/--r", "override both counts or neither")
-    if r0 is None:
-        return None
-    if r0 < 0:
-        raise CliError(
-            "USAGE", f"--r0 {r0}", "the number of strong factors must be at least 0"
-        )
-    if r < 1:
-        raise CliError(
-            "USAGE", f"--r {r}", "the number of weak factors must be at least 1"
-        )
-    return r0, r
+    return None if r0 is None else (r0, r)
 
 
 def _parse_omega(text: str):
@@ -117,8 +118,18 @@ def _parse_omega(text: str):
     return value
 
 
+def _parse_sizes(text: str) -> list[int]:
+    """``example1 --p`` as a list of panel sizes."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise CliError(
+            "USAGE", f"--p {text}", "panel sizes must be comma-separated integers"
+        ) from None
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _common_provenance(args: argparse.Namespace) -> dict:
@@ -131,19 +142,6 @@ def _common_provenance(args: argparse.Namespace) -> dict:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    # usage errors come before any file is read
-    omega = _parse_omega(args.omega)
-    if args.d is not None and args.d < 1:
-        raise CliError(
-            "USAGE", f"--d {args.d}", "the cluster count must be at least 1"
-        )
-    if args.restarts < 1:
-        raise CliError(
-            "USAGE", f"--restarts {args.restarts}",
-            "the number of K-means restarts must be at least 1",
-        )
-    _check_k0(args.k0)
-    _check_j0(args.j0)
     counts = _counts_override(args.r0, args.r)
     path = _require_file(args.input)
     labels = None
@@ -156,7 +154,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         k0=args.k0,
         J0=args.j0,
         counts=counts,
-        omega=omega,
+        omega=args.omega,
         d=args.d,
         seed=args.seed,
         restarts=args.restarts,
@@ -174,7 +172,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         _write_json(out / "factor_count_report.json", report)
     if "label_distribution" in doc:
         dist = doc["label_distribution"]
-        with open(out / "label_distribution.csv", "w", newline="") as fh:
+        with open(out / "label_distribution.csv", "w", newline="",
+                  encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 ["category"] + [f"cluster_{j + 1}" for j in range(result.d_used)]
@@ -186,8 +185,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_factor_count(args: argparse.Namespace) -> int:
-    _check_k0(args.k0)
-    _check_j0(args.j0)
     path = _require_file(args.input)
     panel = load_panel(path, orientation=args.orientation)
     _check_k0(args.k0, panel.n)
@@ -208,10 +205,6 @@ def _cmd_factor_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.reps < 1:
-        raise CliError("USAGE", f"--reps {args.reps}", "need at least one replication")
-    if args.jobs < 1:
-        raise CliError("USAGE", f"--jobs {args.jobs}", "need at least one worker")
     if args.config:
         spec = read_scenario_config(_require_file(args.config))
     elif args.scenario == "I":
@@ -247,14 +240,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_example1(args: argparse.Namespace) -> int:
-    try:
-        sizes = [int(s) for s in args.p.split(",")]
-    except ValueError:
-        raise CliError(
-            "USAGE", f"--p {args.p}", "panel sizes must be comma-separated integers"
-        ) from None
     rows = []
-    for p in sizes:
+    for p in args.p:
         _, pop = generate_example1(
             p, args.delta, a1=args.a1, a2=args.a2, a3=args.a3, n=args.n,
             seed=args.seed,
@@ -262,7 +249,8 @@ def _cmd_example1(args: argparse.Namespace) -> int:
         eigvals = np.linalg.eigvalsh(pop.pooled())[::-1][:3]
         rows.append((p, *eigvals, pop.lambda3_analytic()))
     out = _out_dir(args.out)
-    with open(out / "example1_eigenvalues.csv", "w", newline="") as fh:
+    with open(out / "example1_eigenvalues.csv", "w", newline="",
+              encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["p", "lambda1", "lambda2", "lambda3", "lambda3_analytic"]
@@ -272,15 +260,23 @@ def _cmd_example1(args: argparse.Namespace) -> int:
     provenance = _common_provenance(args)
     provenance.update(
         {"delta": args.delta, "a1": args.a1, "a2": args.a2, "a3": args.a3,
-         "n": args.n, "sizes": sizes}
+         "n": args.n, "sizes": args.p}
     )
     _write_json(out / "provenance.json", provenance)
-    print(f"wrote population eigenvalues for p in {sizes} to {out}")
+    print(f"wrote population eigenvalues for p in {args.p} to {out}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ``E_USAGE`` line, not usage text."""
+
+    def error(self, message: str):
+        raise CliError("USAGE", self.prog, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI; a usage error of any one option is raised while parsing."""
+    parser = _Parser(
         prog="factorclust",
         description="Factor-strength based clustering of time-series panels",
     )
@@ -288,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tuning(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--k0", type=int, default=5,
-                       help="largest pooled lag (default 5)")
-        p.add_argument("--j0", type=int, default=None,
-                       help="ratio truncation point (default max(8, rho/4) "
-                            "capped at rho, rho = min(p, n - 1))")
+        _add_bounded(p, "--k0", 0, "the largest lag must be at least 0",
+                     default=5, help="largest pooled lag (default 5)")
+        _add_bounded(p, "--j0", 2, "the ratio truncation point must be at least 2",
+                     help="ratio truncation point (default max(8, rho/4) "
+                          "capped at rho, rho = min(p, n - 1))")
         p.add_argument("--out", default=".", help="output directory")
 
     pc = sub.add_parser("cluster", help="cluster a panel CSV")
@@ -301,16 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--orientation", default="rows-as-time",
                     choices=["rows-as-time", "rows-as-series"])
     add_tuning(pc)
-    pc.add_argument("--omega", default="p2",
+    pc.add_argument("--omega", type=_parse_omega, default="p2",
                     help="p1 | p2 | p3 | explicit positive value (default p2)")
-    pc.add_argument("--r0", type=int, default=None,
-                    help="override number of strong factors")
-    pc.add_argument("--r", type=int, default=None,
-                    help="override number of weak factors")
-    pc.add_argument("--d", type=int, default=None,
-                    help="override the elbow choice of the cluster count")
+    _add_bounded(pc, "--r0", 0, "the number of strong factors must be at least 0",
+                 help="override number of strong factors")
+    _add_bounded(pc, "--r", 1, "the number of weak factors must be at least 1",
+                 help="override number of weak factors")
+    _add_bounded(pc, "--d", 1, "the cluster count must be at least 1",
+                 help="override the elbow choice of the cluster count")
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--restarts", type=int, default=20)
+    _add_bounded(pc, "--restarts", 1,
+                 "the number of K-means restarts must be at least 1", default=20)
     pc.set_defaults(func=_cmd_cluster)
 
     pf = sub.add_parser("factor-count", help="ratio sequence and selection only")
@@ -318,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--orientation", default="rows-as-time",
                     choices=["rows-as-time", "rows-as-series"])
     add_tuning(pf)
-    pf.add_argument("--seed", type=int, default=0)
     pf.set_defaults(func=_cmd_factor_count)
 
     ps = sub.add_parser("simulate", help="Monte Carlo over a synthetic scenario")
@@ -327,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="built-in scenario instead of --config")
     ps.add_argument("--p1", type=int, default=25,
                     help="cluster size for --scenario (default 25)")
-    ps.add_argument("--reps", type=int, default=100)
+    _add_bounded(ps, "--reps", 1, "need at least one replication", default=100)
     ps.add_argument("--seed", type=int, default=None,
                     help="master seed (overrides the config seed)")
-    ps.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers, the only parallelism: each "
-                         "replication runs on one BLAS thread; the result does "
-                         "not depend on it")
+    _add_bounded(ps, "--jobs", 1, "need at least one worker", default=1,
+                 help="parallel workers, the only parallelism: each "
+                      "replication runs on one BLAS thread; the result does "
+                      "not depend on it")
     ps.add_argument("--estimated-counts", action="store_true",
                     help="also evaluate the pipeline with estimated counts")
     add_tuning(ps)
@@ -341,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("example1", help="population eigenvalues of the "
                                          "equal-growth-rate construction")
-    pe.add_argument("--p", default="100,400,1600",
+    pe.add_argument("--p", type=_parse_sizes, default="100,400,1600",
                     help="comma-separated panel sizes")
     pe.add_argument("--delta", type=float, default=0.5)
     pe.add_argument("--a1", type=float, default=0.8)
@@ -365,9 +361,8 @@ _ERROR_CODES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(exc, file=sys.stderr)

@@ -113,11 +113,8 @@ class SummaryTable:
 
     rows: list[tuple[str, float, float, int]]
 
-    def as_dict(self) -> dict[str, tuple[float, float, int]]:
-        return {name: (mean, sd, n) for name, mean, sd, n in self.rows}
-
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "mean", "sd", "n_reps"])
             for name, mean, sd, n in self.rows:

@@ -237,7 +237,7 @@ def oracle_weak_projection(A_true: np.ndarray, B_padded: np.ndarray) -> np.ndarr
 
 def save_loadings_csv(loading: LoadingMatrix, path: str | Path) -> None:
     """Write the loading matrix as CSV, 17 significant digits per entry."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for row in loading.matrix:
             writer.writerow([f"{v:.17g}" for v in row])

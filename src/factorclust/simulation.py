@@ -121,18 +121,17 @@ class ScenarioSpec:
         return self.d * self.r_per_cluster
 
 
-def scenario_i(p1: int = 25, seed: int = 0, **overrides) -> ScenarioSpec:
+def scenario_i(p1: int = 25, seed: int = 0) -> ScenarioSpec:
     """n=400, d=5, two factors per tier, as many free series as one cluster."""
     return ScenarioSpec(
-        n=400, d=5, p1=p1, p_extra=p1, r0=2, r_per_cluster=2, seed=seed, **overrides
+        n=400, d=5, p1=p1, p_extra=p1, r0=2, r_per_cluster=2, seed=seed
     )
 
 
-def scenario_ii(p1: int = 25, seed: int = 0, **overrides) -> ScenarioSpec:
+def scenario_ii(p1: int = 25, seed: int = 0) -> ScenarioSpec:
     """n=800, d=10, two factors per tier, five clusters' worth of free series."""
     return ScenarioSpec(
-        n=800, d=10, p1=p1, p_extra=5 * p1, r0=2, r_per_cluster=2, seed=seed,
-        **overrides,
+        n=800, d=10, p1=p1, p_extra=5 * p1, r0=2, r_per_cluster=2, seed=seed
     )
 
 

@@ -51,6 +51,11 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def means(table) -> dict[str, float]:
+    """Each metric's mean over the replications of a summary table."""
+    return {name: mean for name, mean, _, _ in table.rows}
+
+
 @pytest.fixture(scope="module")
 def scenario_i_stats():
     config = MonteCarloConfig(
@@ -76,9 +81,9 @@ def scenario_ii_stats():
 
 
 def test_criterion_1_factor_count_frequencies(scenario_i_stats):
-    stats = scenario_i_stats.table.as_dict()
-    freq_r0 = stats["r0_correct"][0]
-    freq_total = stats["total_correct"][0]
+    stats = means(scenario_i_stats.table)
+    freq_r0 = stats["r0_correct"]
+    freq_total = stats["total_correct"]
     ok = (0.751 - 0.07 <= freq_r0 <= 0.751 + 0.07) and (
         0.998 - 0.02 <= freq_total <= 1.0
     )
@@ -90,9 +95,9 @@ def test_criterion_1_factor_count_frequencies(scenario_i_stats):
 
 
 def test_criterion_2_cumulative_beats_single_matrix(scenario_ii_stats):
-    stats = scenario_ii_stats.table.as_dict()
-    cumulative = stats["total_correct"][0]
-    baseline = stats["baseline_total_correct"][0]
+    stats = means(scenario_ii_stats.table)
+    cumulative = stats["total_correct"]
+    baseline = stats["baseline_total_correct"]
     ok = cumulative >= 0.95 and baseline < 0.75 and cumulative > baseline
     report(
         2, ok,
@@ -102,9 +107,9 @@ def test_criterion_2_cumulative_beats_single_matrix(scenario_ii_stats):
 
 
 def test_criterion_3_subspace_errors(scenario_i_stats):
-    stats = scenario_i_stats.table.as_dict()
-    strong = stats["strong_err_fro"][0]
-    weak = stats["weak_err_fro"][0]
+    stats = means(scenario_i_stats.table)
+    strong = stats["strong_err_fro"]
+    weak = stats["weak_err_fro"]
     ok = abs(strong - 0.230) <= 0.03 and abs(weak - 0.528) <= 0.03
     report(
         3, ok,
@@ -114,11 +119,11 @@ def test_criterion_3_subspace_errors(scenario_i_stats):
 
 
 def test_criterion_4_detection_errors(scenario_i_stats):
-    stats = scenario_i_stats.table.as_dict()
-    e1_p1 = stats["e1_omega_p1"][0]
-    e1_p2 = stats["e1_omega_p2"][0]
-    e1_p3 = stats["e1_omega_p3"][0]
-    e2_p2 = stats["e2_omega_p2"][0]
+    stats = means(scenario_i_stats.table)
+    e1_p1 = stats["e1_omega_p1"]
+    e1_p2 = stats["e1_omega_p2"]
+    e1_p3 = stats["e1_omega_p3"]
+    e2_p2 = stats["e2_omega_p2"]
     ok = (
         abs(e1_p2 - 0.073) <= 0.02
         and e2_p2 <= 0.01
@@ -132,9 +137,9 @@ def test_criterion_4_detection_errors(scenario_i_stats):
 
 
 def test_criterion_5_clustering_errors(scenario_i_stats):
-    stats = scenario_i_stats.table.as_dict()
-    tau_rate = stats["tau_rate"][0]
-    d_freq = stats["d_hat_correct"][0]
+    stats = means(scenario_i_stats.table)
+    tau_rate = stats["tau_rate"]
+    d_freq = stats["d_hat_correct"]
     ok = tau_rate <= 0.005 and d_freq >= 0.99
     report(
         5, ok,

@@ -33,6 +33,12 @@ def _python(*args, **env_vars):
                           env=env, timeout=300)
 
 
+def _missing_input(command, tmp_path):
+    """The input arguments of ``command`` naming a file that does not exist."""
+    missing = str(tmp_path / "missing.csv")
+    return ["--config", missing] if command == "simulate" else [missing]
+
+
 @pytest.fixture()
 def small_panel(tmp_path):
     spec = ScenarioSpec(n=300, d=3, p1=8, p_extra=4, r0=1, r_per_cluster=1, seed=17)
@@ -216,10 +222,13 @@ class TestClusterCommand:
     pytest.param("cluster", ["--r0", "1", "--r", "0"], "--r 0", id="r-zero"),
     pytest.param("cluster", ["--j0", "1"], "--j0 1", id="cluster-j0-1"),
     pytest.param("factor-count", ["--j0", "1"], "--j0 1", id="factor-count-j0-1"),
+    pytest.param("simulate", ["--k0", "-1"], "--k0 -1", id="simulate-k0-negative"),
+    pytest.param("simulate", ["--j0", "1"], "--j0 1", id="simulate-j0-1"),
 ])
 def test_counts_and_j0_checked_before_input(tmp_path, capsys, command, flags, detail):
     out = tmp_path / "out"
-    code = main([command, str(tmp_path / "missing.csv"), *flags, "--out", str(out)])
+    code = main([command, *_missing_input(command, tmp_path), *flags,
+                 "--out", str(out)])
     assert code == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"E_USAGE: {detail}: ")
@@ -235,6 +244,7 @@ class TestFactorCountCommand:
         doc = json.loads((out / "factor_count_report.json").read_text())
         assert doc["method"] == "cumulative"
         assert doc["provenance"]["version"]
+        assert doc["provenance"]["seed"] is None  # counting draws nothing
 
     def test_selection_failure_still_writes(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -367,6 +377,16 @@ class TestSimulateCommand:
         assert lines == ["E_USAGE: --k0 -1: the largest lag must be at least 0"]
         assert not (tmp_path / "out").exists()
 
+    def test_j0_checked_before_replications(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", "I", "--p1", "5", "--reps", "3",
+                     "--j0", "1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            "E_USAGE: --j0 1: the ratio truncation point must be at least 2"
+        ]
+        assert not (tmp_path / "out").exists()
+
     def test_needs_config_or_scenario(self, tmp_path, capsys):
         code = main(["simulate", "--reps", "1", "--out", str(tmp_path)])
         assert code != 0
@@ -399,6 +419,86 @@ class TestExample1Command:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("E_CONFIG: example1: ")
         assert not out.exists()
+
+
+# each bounded integer option of each command, with a value just below its
+# bound and one far below it
+BOUNDED = {"--k0": ("-1", "-50"), "--j0": ("1", "-2"), "--r0": ("-1", "-9"),
+           "--r": ("0", "-1"), "--d": ("0", "-3"), "--restarts": ("0", "-20"),
+           "--reps": ("0", "-1"), "--jobs": ("0", "-4")}
+BOUNDED_BY_COMMAND = {
+    "cluster": ("--k0", "--j0", "--r0", "--r", "--d", "--restarts"),
+    "factor-count": ("--k0", "--j0"),
+    "simulate": ("--k0", "--j0", "--reps", "--jobs"),
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command, flags in BOUNDED_BY_COMMAND.items()
+    for flag in flags
+    for value in BOUNDED[flag]
+])
+def test_every_bound_checked_before_input(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    code = main([command, *_missing_input(command, tmp_path), flag, value,
+                 "--out", str(out)])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"E_USAGE: {flag} {value}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, detail", [
+    pytest.param(["--d", "0", "--k0", "-1"], "--d 0", id="d-first"),
+    pytest.param(["--k0", "-1", "--d", "0"], "--k0 -1", id="k0-first"),
+    pytest.param(["--r0", "-1"], "--r0 -1", id="bound-before-pairing"),
+])
+def test_first_wrong_option_reported(tmp_path, capsys, flags, detail):
+    code = main(["cluster", str(tmp_path / "missing.csv"), *flags])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"E_USAGE: {detail}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["cluster", "x.csv", "--k0", "abc"], id="not-an-int"),
+    pytest.param(["cluster", "x.csv", "--orientation", "foo"], id="bad-choice"),
+    pytest.param(["cluster"], id="missing-input"),
+    pytest.param(["cluster", "x.csv", "--bogus"], id="unknown-option"),
+    pytest.param(["factor-count", "x.csv", "--seed", "3"], id="factor-count-seed"),
+    pytest.param([], id="no-subcommand"),
+])
+def test_parser_error_is_one_usage_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("E_USAGE: ")
+    assert "usage:" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
+def test_help_and_version_exit_zero_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and not captured.err
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(small_panel, tmp_path):
+    path, panel, _ = small_panel
+    labels = tmp_path / "labels.csv"
+    labels.write_text("series_id,label\n" + "".join(
+        f"s{i:03d},{'Énergie' if i % 2 else 'Santé'}\n" for i in range(panel.p)
+    ), encoding="utf-8")
+    out = tmp_path / "out"
+    done = _python("-m", "factorclust", "cluster", str(path), "--labels", str(labels),
+                   "--r0", "1", "--r", "3", "--k0", "3", "--out", str(out),
+                   LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert done.returncode == 0, done.stderr
+    rows = (out / "label_distribution.csv").read_text(encoding="utf-8").splitlines()
+    assert sorted(row.split(",")[0] for row in rows[1:]) == ["Santé", "Énergie"]
 
 
 def test_module_entry_point_help():

@@ -168,13 +168,12 @@ class TestMisclassification:
 class TestAggregation:
     def test_single_replication(self):
         table = aggregate_records([{"e1": 0.25, "e2": 0.0, "d_hat_correct": True}])
-        stats = table.as_dict()
-        assert stats["e1"] == (0.25, 0.0, 1)
-        assert stats["d_hat_correct"] == (1.0, 0.0, 1)
+        assert table.rows == [("e1", 0.25, 0.0, 1), ("e2", 0.0, 0.0, 1),
+                              ("d_hat_correct", 1.0, 0.0, 1)]
 
     def test_two_value_rate(self):
         table = aggregate_records([{"rate": 0.0}, {"rate": 1.0}])
-        mean, sd, n = table.as_dict()["rate"]
+        [(_, mean, sd, n)] = table.rows
         assert mean == pytest.approx(0.5)
         assert sd == pytest.approx(math.sqrt(0.5), rel=1e-12)
         assert n == 2
@@ -182,7 +181,7 @@ class TestAggregation:
     def test_matches_streaming_oracle(self):
         rng = np.random.default_rng(7)
         records = [{"x": float(v)} for v in rng.standard_normal(200)]
-        mean, sd, n = aggregate_records(records).as_dict()["x"]
+        [(_, mean, sd, n)] = aggregate_records(records).rows
         # Welford streaming mean/variance
         count, m, m2 = 0, 0.0, 0.0
         for rec in records:
@@ -198,10 +197,10 @@ class TestAggregation:
         table = aggregate_records(
             [{"a": 1.0, "flag": True}, {"a": None, "flag": False}, {"a": 3.0, "flag": True}]
         )
-        stats = table.as_dict()
-        assert stats["a"][0] == pytest.approx(2.0)
-        assert stats["a"][2] == 2
-        assert stats["flag"][0] == pytest.approx(2.0 / 3.0)
+        (a_name, a_mean, _, a_n), (flag_name, flag_mean, _, _) = table.rows
+        assert (a_name, a_n, flag_name) == ("a", 2, "flag")
+        assert a_mean == pytest.approx(2.0)
+        assert flag_mean == pytest.approx(2.0 / 3.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError, match="no replications"):

@@ -211,9 +211,8 @@ class TestMonteCarlo:
         config = MonteCarloConfig(k0=2, include_baseline=False)
         result = run_monte_carlo(spec, reps=1, config=config)
         assert result.n_completed == 1
-        stats = result.table.as_dict()
         record = result.records[0]
-        for key, (mean, sd, n) in stats.items():
+        for key, mean, sd, n in result.table.rows:
             assert n == 1 and sd == 0.0
             assert mean == pytest.approx(float(record[key]))
 
