@@ -16,8 +16,9 @@ first wrong option is the one reported: ``--k0 >= 0``, ``--j0 >= 2``,
 ``--r0 >= 0``, ``--r >= 1``, ``--d >= 1``, ``--restarts``, ``--reps`` and
 ``--jobs >= 1``, ``--omega`` p1, p2, p3 or a finite positive number, and
 ``example1 --p`` comma-separated integers.  The commands check the
-``--r0``/``--r`` pairing and ``--config`` or ``--scenario`` before any
-file is read, and ``--k0 < n`` once n is known.  All tables are written
+``--r0``/``--r`` pairing, and ``--config`` or else ``--scenario`` (with
+``--p1`` only beside ``--scenario``), before any file is read, and
+``--k0 < n`` once n is known.  All tables are written
 as CSV and every text output as UTF-8; plotting is left to downstream
 tools.
 """
@@ -205,12 +206,16 @@ def _cmd_factor_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.config and (args.scenario or args.p1 is not None):
+        raise CliError("USAGE", "simulate",
+                       "--config FILE takes neither --scenario nor --p1")
+    p1 = 25 if args.p1 is None else args.p1
     if args.config:
         spec = read_scenario_config(_require_file(args.config))
     elif args.scenario == "I":
-        spec = scenario_i(p1=args.p1)
+        spec = scenario_i(p1=p1)
     elif args.scenario == "II":
-        spec = scenario_ii(p1=args.p1)
+        spec = scenario_ii(p1=p1)
     else:
         raise CliError("USAGE", "simulate", "give --config FILE or --scenario I|II")
     _check_k0(args.k0, spec.n)
@@ -321,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", help="flat key=value scenario file")
     ps.add_argument("--scenario", choices=["I", "II"],
                     help="built-in scenario instead of --config")
-    ps.add_argument("--p1", type=int, default=25,
+    ps.add_argument("--p1", type=int,
                     help="cluster size for --scenario (default 25)")
     _add_bounded(ps, "--reps", 1, "need at least one replication", default=100)
     ps.add_argument("--seed", type=int, default=None,

@@ -33,26 +33,27 @@ thread count and nothing symmetrizes them afterwards.  Each function reads
 its input with ``np.ascontiguousarray``: that copies only a strided view,
 the one layout for which numpy would take a general product instead.
 
-K-means works from the squared row norms sq[i] = ||x_i||^2, computed once
-per call.  Seeding reads point-to-point distances off one Gram matrix
-G = X X^T,
+K-means runs in kernel form (Dhillon, Guan & Kulis 2004) on the Gram
+matrix K = X X^T alone, built once per ``wcss_curve`` (once per direct
+``kmeans`` call) and shared by every d, restart and warm split.  A set of
+d centers is an m x d weight matrix W with centers W^T X: unit columns at
+seeded points, ``onehot / counts`` for means, and for a warm split the
+previous fit's mean weights plus one unit column.  One GEMM K W gives
 
-    ||x_i - x_j||^2 = sq[i] + sq[j] - 2 G[i, j]   (clipped at 0),
+    ||x_i - c_j||^2 = sq[i] - 2 (K W)[i, j] + ||c_j||^2,
+    ||c_j||^2 = sum_i W[i, j] (K W)[i, j],
 
-and the Lloyd loop takes point-to-center distances the same way.  With
-the centers c_c the means of their n_c members, the within-cluster sum of
-squares is
+with sq[i] = ||x_i||^2, and for means the within-cluster sum of squares
 
-    WCSS = sum_i ||x_i - c_label(i)||^2 = sum_i sq[i] - sum_c n_c ||c_c||^2,
+    WCSS = sum_i sq[i] - sum_j n_j ||c_j||^2   (clipped at 0).
 
-clipped at 0, so no m x q difference array is formed per iteration.
-
-The restarts of one ``kmeans`` call run in lockstep: each Lloyd iteration
-takes the distances of every restart still iterating from one GEMM of the
-points against all their centers, and their new centers from one stacked
-one-hot GEMM.  Seeding, the empty-cluster repair, the convergence test,
-the ``math.fsum`` WCSS and the choice of the best restart stay per
-restart; a restart whose labels settle leaves the batch.
+Seeding reads point-to-point distances off the same K, and the
+empty-cluster repair reads its gaps off the distances and moves labels.
+The restarts of one fit run in lockstep, one K W GEMM per iteration for
+all still iterating; a restart whose labels settle leaves the batch.
+Since the WCSS is sum_i sq[i] less the explained part, restarts within
+``WCSS_TIE_RTOL`` times that sum of the best WCSS are tied, and the
+earliest wins.
 """
 
 from __future__ import annotations
@@ -229,9 +230,17 @@ class KMeansResult:
     """One fitted K-means solution (best of all restarts)."""
 
     assignments: np.ndarray  # (m,) labels 0..d-1, no empty cluster
-    centers: np.ndarray      # (d, q)
     wcss: float
     wcss_trace: list[float]  # per-iteration values of the winning restart
+
+
+def _gram(points) -> tuple[np.ndarray, np.ndarray]:
+    """K = X X^T of the points, by syrk (X is read C-contiguous), and the
+    squared row norms."""
+    pts = np.ascontiguousarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ClusteringError(f"points must be 2-d, got shape {pts.shape}")
+    return pts @ pts.T, np.sum(pts**2, axis=1)
 
 
 def _spread_init(
@@ -270,107 +279,116 @@ EXHAUSTIVE_INIT_LIMIT = 256
 
 
 def _candidate_inits(
-    points: np.ndarray, sq: np.ndarray, d: int, restarts: int, seed: int
+    sq: np.ndarray, gram: np.ndarray, d: int, restarts: int, seed: int
 ) -> list[np.ndarray]:
-    """Initial center sets for the restart loop.
+    """Initial center weights for the restart loop, one (m, d) matrix of
+    unit columns at the seeded points per candidate.
 
     Tiny problems get every d-subset of the points (deterministic and, in
     practice, relentless about the global optimum).  Larger ones get one
     deterministic farthest-point spread plus seeded distance-weighted
     spreads, first centers cycling through a seeded permutation.
     """
-    m = points.shape[0]
+    m = sq.shape[0]
+    if not 1 <= d <= m:
+        raise ClusteringError(f"d={d} outside [1, {m}]")
+    if restarts < 1:
+        raise ClusteringError(f"restarts={restarts} must be at least 1")
     if math.comb(m, d) <= max(restarts, EXHAUSTIVE_INIT_LIMIT):
-        return [points[list(combo)] for combo in combinations(range(m), d)]
-    gram = points @ points.T
-    root = np.random.SeedSequence(int(seed) % 2**63)
-    children = root.spawn(restarts)
-    rng = np.random.default_rng(children[0])
-    order = rng.permutation(m)
-    inits = [points[_spread_init(sq, gram, d, int(order[0]))]]
-    for i in range(1, restarts):
-        child_rng = np.random.default_rng(children[i])
-        inits.append(
-            points[_spread_init(sq, gram, d, int(order[i % m]), child_rng)]
-        )
+        seeds = [list(combo) for combo in combinations(range(m), d)]
+    else:
+        children = np.random.SeedSequence(int(seed) % 2**63).spawn(restarts)
+        order = np.random.default_rng(children[0]).permutation(m)
+        seeds = [_spread_init(sq, gram, d, int(order[0]))]
+        for i in range(1, restarts):
+            child_rng = np.random.default_rng(children[i])
+            seeds.append(_spread_init(sq, gram, d, int(order[i % m]), child_rng))
+    inits = [np.zeros((m, d)) for _ in seeds]
+    for weights, chosen in zip(inits, seeds):
+        weights[chosen, np.arange(d)] = 1.0
     return inits
 
 
-def _repair_empty(
-    points: np.ndarray, centers: np.ndarray, labels: np.ndarray, d: int
-) -> np.ndarray:
-    """Reseed each empty cluster at the farthest point that is not the sole
-    member of its own cluster (m >= d guarantees one); updates ``centers``
-    and ``labels`` in place and returns the cluster sizes."""
+def _repair_empty(dist: np.ndarray, labels: np.ndarray, d: int) -> np.ndarray:
+    """Move into each empty cluster the point farthest from its center that
+    is not the sole member of its own cluster (m >= d guarantees one),
+    reading the gaps off the (m, d) distances ``dist``; changes only
+    ``labels``, in place, and returns the cluster sizes."""
+    gaps = dist[np.arange(labels.size), labels]
     while True:
         counts = np.bincount(labels, minlength=d)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
             return counts
-        c = int(empties[0])
-        gaps = np.sum((points - centers[labels]) ** 2, axis=1)
         gaps[counts[labels] <= 1] = -1.0
-        far = int(np.argmax(gaps))
-        centers[c] = points[far]
-        labels[far] = c
+        labels[int(np.argmax(gaps))] = int(empties[0])
 
 
 def _lloyd(
-    points: np.ndarray, sq: np.ndarray, inits: list[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray, list[float]]]:
-    """Lloyd iterations with empty-cluster repair from every initial center
-    set at once; each run stops when its labels settle or after
-    ``DEFAULT_MAX_ITER`` iterations.  Returns, per initial set and in
-    order, the labels, the centers and the WCSS trace, whose last value is
-    the WCSS.
+    gram: np.ndarray, sq: np.ndarray, inits: list[np.ndarray]
+) -> list[tuple[np.ndarray, list[float]]]:
+    """Lloyd iterations with empty-cluster repair from every initial (m, d)
+    weight matrix at once; each run stops when its labels settle or after
+    ``DEFAULT_MAX_ITER`` iterations.  Returns, per initial weights and in
+    order, the labels and the WCSS trace, whose last value is the WCSS.
 
-    The A runs still iterating share one (m, A d) distance GEMM and one
-    stacked one-hot GEMM for their means; a run whose labels settle leaves
-    the batch.
+    The A runs still iterating share one (m, A d) GEMM ``K @ W`` per
+    iteration, which gives their distances and center norms; a run whose
+    labels settle leaves the batch.
     """
-    m, q = points.shape
-    d = inits[0].shape[0]
+    m = sq.shape[0]
+    d = inits[0].shape[1]
     sq_total = float(sq.sum())
-    centers = np.array(inits, dtype=float)            # (R, d, q)
+    weights = np.stack(inits, axis=1)                 # (m, R, d)
     labels = np.full((len(inits), m), -1, dtype=int)
     traces: list[list[float]] = [[] for _ in inits]
     active = np.arange(len(inits))
-    for _ in range(DEFAULT_MAX_ITER):
+    for it in range(DEFAULT_MAX_ITER + 1):
         a = active.size
-        cur = centers[active]
-        d2 = (
-            sq[:, None, None]
-            - 2.0 * (points @ cur.reshape(-1, q).T).reshape(m, a, d)
-            + np.sum(cur**2, axis=2)[None, :, :]
-        )
-        new_labels = np.ascontiguousarray(np.argmin(d2, axis=2).T)  # (a, m)
+        w = weights[:, active]
+        kw = (gram @ w.reshape(m, a * d)).reshape(m, a, d)
+        norms = np.sum(w * kw, axis=0)                # (a, d) ||c||^2
+        if it:
+            # w holds the means of the labels set in the last iteration
+            for run, row in zip(active, counts * norms):
+                # fsum: the value must not depend on how the clusters are numbered
+                traces[run].append(max(sq_total - math.fsum(row), 0.0))
+        if it == DEFAULT_MAX_ITER:
+            break
+        dist = sq[:, None, None] - 2.0 * kw + norms[None, :, :]
+        new_labels = np.ascontiguousarray(np.argmin(dist, axis=2).T)  # (a, m)
         offsets = d * np.arange(a)[:, None]
         counts = np.bincount(
             (new_labels + offsets).ravel(), minlength=a * d
         ).reshape(a, d)
         for j in np.flatnonzero((counts == 0).any(axis=1)):
-            counts[j] = _repair_empty(points, cur[j], new_labels[j], d)
+            counts[j] = _repair_empty(dist[:, j], new_labels[j], d)
         settled = (new_labels == labels[active]).all(axis=1)
-        for j in np.flatnonzero(settled):
-            run = int(active[j])
-            centers[run] = cur[j]
+        for run in active[settled]:
             traces[run].append(traces[run][-1])
         keep = np.flatnonzero(~settled)
         if keep.size == 0:
             break
         active = active[keep]
-        new_labels = new_labels[keep]
+        labels[active] = new_labels[keep]
         counts = counts[keep]
         onehot = np.zeros((m, keep.size * d))
-        onehot[np.arange(m)[None, :], new_labels + offsets[: keep.size]] = 1.0
-        means = (onehot.T @ points).reshape(keep.size, d, q) / counts[:, :, None]
-        centers[active] = means
-        labels[active] = new_labels
-        explained = counts * np.sum(means**2, axis=2)
-        for run, row in zip(active, explained):
-            # fsum: the value must not depend on how the clusters are numbered
-            traces[run].append(max(sq_total - math.fsum(row), 0.0))
-    return [(labels[i], centers[i], traces[i]) for i in range(len(inits))]
+        onehot[np.arange(m)[None, :], labels[active] + offsets[: keep.size]] = 1.0
+        weights[:, active] = (onehot / counts.ravel()).reshape(m, keep.size, d)
+    return [(labels[i], traces[i]) for i in range(len(inits))]
+
+
+# restarts within WCSS_TIE_RTOL * sum_i ||x_i||^2 of the best WCSS are tied
+WCSS_TIE_RTOL = 1e-12
+
+
+def _best_fit(gram: np.ndarray, sq: np.ndarray, inits: list) -> KMeansResult:
+    """The earliest Lloyd run from ``inits`` among those tied for the best
+    WCSS."""
+    runs = _lloyd(gram, sq, inits)
+    cut = min(trace[-1] for _, trace in runs) + WCSS_TIE_RTOL * float(sq.sum())
+    labels, trace = next(run for run in runs if run[1][-1] <= cut)
+    return KMeansResult(assignments=labels, wcss=trace[-1], wcss_trace=trace)
 
 
 def kmeans(
@@ -378,57 +396,39 @@ def kmeans(
     d: int,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    warm_centers: np.ndarray | None = None,
 ) -> KMeansResult:
     """K-means with L2 distance, spread seeding, best of restarts.
 
     When the number of d-point subsets is small every subset serves as an
     initialization (deterministic); otherwise each restart draws spread-out
     centers from its own child generator, first centers cycling through a
-    seeded permutation of the points.  Ties in the best WCSS go to the
-    earliest candidate; ``warm_centers``, when given, is evaluated before
-    all restarts.  All candidates iterate together (``_lloyd``); each one
-    stops when its labels settle or after ``DEFAULT_MAX_ITER`` Lloyd
-    iterations.
+    seeded permutation of the points.  Restarts within ``WCSS_TIE_RTOL``
+    of the best WCSS are tied, and the earliest wins.  All candidates
+    iterate together on one Gram matrix (``_lloyd``); each one stops when
+    its labels settle or after ``DEFAULT_MAX_ITER`` Lloyd iterations.
 
     Raises
     ------
     ClusteringError
         If d is outside [1, m] or ``restarts`` is below 1.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ClusteringError(f"points must be 2-d, got shape {pts.shape}")
-    m = pts.shape[0]
-    if not 1 <= d <= m:
-        raise ClusteringError(f"d={d} outside [1, {m}]")
-    if restarts < 1:
-        raise ClusteringError(f"restarts={restarts} must be at least 1")
-    sq = np.sum(pts**2, axis=1)
-    best: KMeansResult | None = None
-    inits: list[np.ndarray] = []
-    if warm_centers is not None:
-        warm = np.asarray(warm_centers, dtype=float)
-        if warm.shape != (d, pts.shape[1]):
-            raise ClusteringError(
-                f"warm_centers shape {warm.shape} does not match (d, q)=({d}, {pts.shape[1]})"
-            )
-        inits.append(warm)
-    inits.extend(_candidate_inits(pts, sq, d, restarts, seed))
-    for labels, centers, trace in _lloyd(pts, sq, inits):
-        if best is None or trace[-1] < best.wcss:
-            best = KMeansResult(
-                assignments=labels, centers=centers, wcss=trace[-1], wcss_trace=trace
-            )
-    assert best is not None
-    return best
+    gram, sq = _gram(points)
+    return _best_fit(gram, sq, _candidate_inits(sq, gram, d, restarts, seed))
 
 
-def _split_farthest(points: np.ndarray, result: KMeansResult) -> np.ndarray:
-    """Centers of a fitted solution plus the point farthest from its center."""
-    gaps = np.sum((points - result.centers[result.assignments]) ** 2, axis=1)
-    far = points[int(np.argmax(gaps))]
-    return np.vstack([result.centers, far])
+def _split_farthest(
+    gram: np.ndarray, sq: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """Weights of the means of a fitted partition plus a unit column at the
+    point farthest from its mean."""
+    means = np.eye(int(labels.max()) + 1)[labels]
+    means /= means.sum(axis=0)
+    kw = gram @ means
+    norms = np.sum(means * kw, axis=0)
+    gaps = sq - 2.0 * kw[np.arange(labels.size), labels] + norms[labels]
+    split = np.zeros((labels.size, 1))
+    split[int(np.argmax(gaps))] = 1.0
+    return np.hstack([means, split])
 
 
 def wcss_curve(
@@ -437,20 +437,20 @@ def wcss_curve(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> dict[int, KMeansResult]:
-    """Best K-means fit for every d = 1..d_max.
+    """Best K-means fit for every d = 1..d_max, all from one Gram matrix.
 
-    Each d also receives a warm start splitting the previous best solution,
-    which keeps the reported curve non-increasing in d.  Every restart runs
-    at most ``DEFAULT_MAX_ITER`` Lloyd iterations.
+    Each d > 1 also receives a warm start splitting the previous best
+    solution, evaluated before all restarts, which keeps the reported
+    curve non-increasing in d.  Every restart runs at most
+    ``DEFAULT_MAX_ITER`` Lloyd iterations.
     """
+    gram, sq = _gram(points)
     curve: dict[int, KMeansResult] = {}
-    prev: KMeansResult | None = None
     for d in range(1, d_max + 1):
-        warm = _split_farthest(points, prev) if prev is not None else None
-        curve[d] = kmeans(
-            points, d, restarts=restarts, seed=seed + d, warm_centers=warm,
-        )
-        prev = curve[d]
+        inits = _candidate_inits(sq, gram, d, restarts, seed + d)
+        if d > 1:
+            inits.insert(0, _split_farthest(gram, sq, curve[d - 1].assignments))
+        curve[d] = _best_fit(gram, sq, inits)
     return curve
 
 

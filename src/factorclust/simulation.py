@@ -373,10 +373,9 @@ def _evaluate_branch(
     strong = estimate_strong_loadings(stack, k0=config.k0, r0=r0)
     weak = estimate_weak_loadings(stack, strong, k0=config.k0, r=r)
 
-    gram = truth.A.T @ truth.A
-    p_a = truth.A @ np.linalg.solve(gram, truth.A.T)
-    p_a = (p_a + p_a.T) / 2.0
-    op, fro = projection_distance(projection(strong), p_a)
+    # Q Q^T of a C-contiguous Q takes numpy's syrk path: symmetric bit for bit
+    q = np.ascontiguousarray(np.linalg.qr(truth.A)[0])
+    op, fro = projection_distance(projection(strong), q @ q.T)
     out[f"strong_err_op{suffix}"] = op
     out[f"strong_err_fro{suffix}"] = fro
     p_weak = oracle_weak_projection(truth.A, truth.B_padded)

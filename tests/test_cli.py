@@ -388,9 +388,25 @@ class TestSimulateCommand:
         assert not (tmp_path / "out").exists()
 
     def test_needs_config_or_scenario(self, tmp_path, capsys):
-        code = main(["simulate", "--reps", "1", "--out", str(tmp_path)])
-        assert code != 0
-        assert "E_USAGE" in capsys.readouterr().err
+        for extra in ([], ["--p1", "7"]):
+            code = main(["simulate", *extra, "--reps", "1", "--out", str(tmp_path)])
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "E_USAGE: simulate: give --config FILE or --scenario I|II"
+            ]
+
+    @pytest.mark.parametrize("extra", [["--scenario", "II"], ["--p1", "7"],
+                                       ["--scenario", "II", "--p1", "7"],
+                                       ["--p1", "25"]])
+    def test_config_takes_no_scenario_options(self, tmp_path, capsys, extra):
+        # the config is never read: a missing file would be E_INPUT_NOT_FOUND
+        code = main(["simulate", "--config", str(tmp_path / "missing.cfg"),
+                     *extra, "--reps", "1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE: simulate: --config FILE takes neither --scenario nor --p1"
+        ]
+        assert not (tmp_path / "out").exists()
 
 
 class TestExample1Command:
