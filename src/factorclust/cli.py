@@ -14,8 +14,9 @@ command line is one ``E_USAGE`` line, not argparse's usage text.  The
 parser checks every bound, so each fails before any file is read and the
 first wrong option is the one reported: ``--k0 >= 0``, ``--j0 >= 2``,
 ``--r0 >= 0``, ``--r >= 1``, ``--d >= 1``, ``--restarts``, ``--reps`` and
-``--jobs >= 1``, ``--omega`` p1, p2, p3 or a finite positive number, and
-``example1 --p`` comma-separated integers.  The commands check the
+``--jobs >= 1``, ``--omega`` p1, p2, p3 or a finite positive number,
+``example1 --p`` comma-separated integers and ``example1 --delta`` a
+finite positive number.  The commands check the
 ``--r0``/``--r`` pairing, and ``--config`` or else ``--scenario`` (with
 ``--p1`` only beside ``--scenario``), before any file is read, and
 ``--k0 < n`` once n is known.  All tables are written
@@ -116,6 +117,22 @@ def _parse_omega(text: str):
             "USAGE", f"--omega {text}",
             "omega must be p1, p2, p3 or a finite positive number",
         )
+    return value
+
+
+def _parse_delta(text: str) -> float:
+    """``example1 --delta`` as a finite positive float.
+
+    At delta <= 0 the weak factors are at least as strong as the strong
+    one, and lambda3 is far from its closed form (0.32 of it at delta = 0).
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < float("inf"):  # also false for nan
+        raise CliError("USAGE", f"--delta {text}",
+                       "delta must be a finite positive number")
     return value
 
 
@@ -332,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=None,
                     help="master seed (overrides the config seed)")
     _add_bounded(ps, "--jobs", 1, "need at least one worker", default=1,
-                 help="parallel workers, the only parallelism: each "
-                      "replication runs on one BLAS thread; the result does "
-                      "not depend on it")
+                 help="parallel worker processes; each replication runs "
+                      "on one BLAS thread, and the result does not depend "
+                      "on it")
     ps.add_argument("--estimated-counts", action="store_true",
                     help="also evaluate the pipeline with estimated counts")
     add_tuning(ps)
@@ -344,7 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
                                          "equal-growth-rate construction")
     pe.add_argument("--p", type=_parse_sizes, default="100,400,1600",
                     help="comma-separated panel sizes")
-    pe.add_argument("--delta", type=float, default=0.5)
+    pe.add_argument("--delta", type=_parse_delta, default=0.5,
+                    help="weak-factor exponent, > 0 (default 0.5). lambda3 "
+                         "equals its closed form from 0.5 up; below 0.5 only "
+                         "as p grows (0.68 of it at p = 50 and delta = 0.25, "
+                         "equal from p = 500)")
     pe.add_argument("--a1", type=float, default=0.8)
     pe.add_argument("--a2", type=float, default=-0.5)
     pe.add_argument("--a3", type=float, default=0.6)

@@ -221,14 +221,20 @@ def cumulative_ratio_sequence(
     J0 : int, optional
         Ratio truncation point; defaults to ``default_j0(p, n)``.
 
-    The singular values of the min(p, n)-square lag covariances run on one
-    BLAS thread when min(p, n) <= ``_blas.ONE_THREAD_MAX_DIM``, where that
-    is faster; the caller's thread count is restored afterwards.
+    The singular values of all k0 + 1 min(p, n)-square lag covariances come
+    from one stacked ``np.linalg.svd`` call, which runs the same LAPACK
+    routine on each lag as a call per lag would, bit for bit.  numpy
+    releases the GIL for that call once (k0 + 1) * min(p, n) > 500, so
+    another Python thread can run beside it (``simulation`` does).  The
+    call runs on one BLAS thread when min(p, n) <=
+    ``_blas.ONE_THREAD_MAX_DIM``, where that is faster; the caller's
+    thread count is restored afterwards.
 
     Raises
     ------
     FactorCountError
-        If J0 < 2 or the eigenvalue computation fails.
+        If J0 < 2 or the eigenvalue computation fails; the message names
+        the first lag whose decomposition fails on its own.
     """
     p, n = panel.p, panel.n
     J0 = _checked_j0(J0, p, n)
@@ -236,16 +242,26 @@ def cumulative_ratio_sequence(
     # built (see loadings._top_eigenvectors)
     eigs = np.zeros((k0 + 1, p))
     covs = lag_stack(panel, k0).covs
-    try:
-        with threads_for_dim(min(p, n)):
-            for k, cov in enumerate(covs):
-                # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
-                eigs[k, : len(cov)] = np.linalg.svd(cov, compute_uv=False) ** 2
-    except np.linalg.LinAlgError as exc:
-        raise FactorCountError(f"eigen-solver failure at lag {k}: {exc}") from exc
-    del covs, cov
+    with threads_for_dim(min(p, n)):
+        try:
+            singular = np.linalg.svd(covs, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise _failing_lag(covs) from exc
+    del covs
+    # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
+    np.square(singular, out=eigs[:, : singular.shape[1]])
     weights = 1.0 - np.arange(k0 + 1) / n
     return _ratio_report(weights @ eigs, J0, k0, n, eigs, "cumulative")
+
+
+def _failing_lag(covs: np.ndarray) -> FactorCountError:
+    """The error naming the first lag whose SVD fails on its own."""
+    for k, cov in enumerate(covs):
+        try:
+            np.linalg.svd(cov, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            return FactorCountError(f"eigen-solver failure at lag {k}: {exc}")
+    return FactorCountError("eigen-solver failure on the stacked lags")
 
 
 def single_matrix_ratio_baseline(

@@ -13,7 +13,10 @@ law (no burn-in).
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -412,14 +415,76 @@ def _evaluate_branch(
     return out
 
 
+# False while a pool worker runs a replication: the workers already
+# share the CPUs, and a helper thread in each was measured slower
+_helper_allowed: ContextVar[bool] = ContextVar("helper_allowed", default=True)
+
+
+def _spare_cpu() -> bool:
+    """True when this process may run on at least two CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+class _Outcome:
+    """The value of ``fn(*args, **kwargs)``, or the exception it raised.
+
+    With ``on_thread`` the call runs on a helper thread, which ``wait``
+    joins; otherwise it runs at once.  ``get`` waits, then returns the
+    value or raises the exception.
+    """
+
+    def __init__(self, fn, *args, on_thread: bool = False, **kwargs):
+        self._value = self._error = self._thread = None
+        if on_thread:
+            self._thread = threading.Thread(target=self._run, args=(fn, args, kwargs),
+                                            name="factorclust-helper")
+            self._thread.start()
+        else:
+            self._run(fn, args, kwargs)
+
+    def _run(self, fn, args, kwargs) -> None:
+        try:
+            self._value = fn(*args, **kwargs)
+        except BaseException as exc:  # noqa: BLE001 - raised again by get
+            self._error = exc
+
+    def wait(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def get(self):
+        self.wait()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
-    """All metrics of one replication (factor counts plus both branches)."""
+    """All metrics of one replication (factor counts plus both branches).
+
+    With a second CPU, and outside a ``run_monte_carlo`` pool worker, the
+    ratio report runs on a helper thread beside the known-counts branch:
+    its stacked SVD releases the GIL (see ``cumulative_ratio_sequence``).
+    The helper is joined, also on an error, before the counts are
+    selected.  The record, and the first failure raised, are those of the
+    stages run one after another: ratio report, count selection,
+    baseline, known-counts branch, estimated branch.
+    """
     panel, truth = generate_scenario(spec)
     r0_true, r_true = truth.intended_counts
     out: dict = {}
 
     stack = lag_stack(panel, config.k0)
-    report = cumulative_ratio_sequence(stack, k0=config.k0, J0=config.J0)
+    ratio = _Outcome(cumulative_ratio_sequence, stack, k0=config.k0, J0=config.J0,
+                     on_thread=_helper_allowed.get() and _spare_cpu())
+    try:
+        known = _Outcome(_evaluate_branch, stack, truth, r0_true, r_true, config,
+                         spec.seed) if config.known_counts else None
+    finally:
+        ratio.wait()
+    report = ratio.get()
     selection: tuple[int, int] | None = None
     try:
         r0_hat, r_hat = select_factor_counts(report)
@@ -441,10 +506,8 @@ def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
             out["baseline_r0_correct"] = False
             out["baseline_total_correct"] = False
 
-    if config.known_counts:
-        out.update(
-            _evaluate_branch(stack, truth, r0_true, r_true, config, spec.seed)
-        )
+    if known is not None:
+        out.update(known.get())
     if config.estimated_counts and selection is not None:
         r0_hat, r_hat = selection
         m = min(panel.p, panel.n)
@@ -471,6 +534,15 @@ def _worker(args: tuple[ScenarioSpec, MonteCarloConfig, int]):
         return rep, None, f"{type(exc).__name__}: {exc}"
 
 
+def _pool_worker(args: tuple[ScenarioSpec, MonteCarloConfig, int]):
+    """``_worker`` without the helper thread of ``replication_record``."""
+    token = _helper_allowed.set(False)
+    try:
+        return _worker(args)
+    finally:
+        _helper_allowed.reset(token)
+
+
 def run_monte_carlo(
     spec: ScenarioSpec,
     reps: int,
@@ -484,10 +556,14 @@ def run_monte_carlo(
     are excluded from the aggregation but counted in ``failures``.
 
     Every replication runs on one BLAS thread, serially or in a pool of
-    ``min(jobs, reps)`` workers, so ``jobs`` is the only parallelism and
-    the result does not depend on the OpenBLAS thread count either.  The
-    workers are forked whatever the default start method, so they inherit
-    the setting and leave no helper process behind.
+    ``min(jobs, reps)`` workers, so the result does not depend on the
+    OpenBLAS thread count either.  A serial run on a process with a
+    second CPU also runs each replication's ratio report on a helper
+    thread beside its known-counts branch (``replication_record``); the
+    helper is joined before the replication returns, and pool workers run
+    without it.  The workers are forked whatever the default start
+    method, so they inherit the setting and leave no helper process
+    behind.
     The setting is process-wide while the replications run, and the
     caller's thread count is restored when they end.
     """
@@ -507,7 +583,7 @@ def run_monte_carlo(
 
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-                raw = list(pool.map(_worker, tasks))
+                raw = list(pool.map(_pool_worker, tasks))
         else:
             raw = [_worker(t) for t in tasks]
     raw.sort(key=lambda item: item[0])

@@ -47,6 +47,15 @@ def pooled_oracle(values: np.ndarray, k0: int) -> np.ndarray:
     return (total + total.T) / 2.0
 
 
+def per_lag_spectra_oracle(covs: np.ndarray, p: int) -> np.ndarray:
+    """Row k: the squared singular values of S(k), from one SVD per lag,
+    zero-padded to p entries."""
+    out = np.zeros((len(covs), p))
+    for k, cov in enumerate(covs):
+        out[k, : len(cov)] = np.linalg.svd(cov, compute_uv=False) ** 2
+    return out
+
+
 def residualize_oracle(values: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Column-by-column subtraction of the projection onto span(q)."""
     out = np.empty_like(values)

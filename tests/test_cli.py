@@ -422,6 +422,29 @@ class TestExample1Command:
             lam3, analytic = float(row[3]), float(row[4])
             assert lam3 == pytest.approx(analytic, rel=1e-8)
 
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf", "abc"])
+    def test_nonpositive_delta_usage_error(self, tmp_path, capsys, delta):
+        # p = 2 would fail as E_CONFIG when its size is generated
+        out = tmp_path / "out"
+        code = main(["example1", "--p", "2", "--delta", delta, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"E_USAGE: --delta {delta}: delta must be a finite positive number"
+        ]
+        assert not out.exists()
+
+    def test_small_positive_delta_accepted(self, tmp_path):
+        # below 0.5 the closed form holds only as p grows
+        out = tmp_path / "e1"
+        code = main(["example1", "--p", "50,500", "--delta", "0.25",
+                     "--out", str(out)])
+        assert code == 0
+        with (out / "example1_eigenvalues.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        shares = [float(row[3]) / float(row[4]) for row in rows]
+        assert shares[0] == pytest.approx(0.68, abs=0.01)
+        assert shares[1] == pytest.approx(1.0, rel=1e-6)
+
     def test_non_integer_size_usage_error(self, tmp_path, capsys):
         code = main(["example1", "--p", "abc", "--out", str(tmp_path / "out")])
         assert code == 1

@@ -18,9 +18,10 @@ from factorclust import (
     single_matrix_ratio_baseline,
 )
 from factorclust import factor_count
+from factorclust._blas import threads_for_dim
 from factorclust.panel import lag_stack
 
-from oracles import lag_autocov_oracle
+from oracles import lag_autocov_oracle, per_lag_spectra_oracle
 
 
 def make_report(ratios, J0=None):
@@ -172,6 +173,44 @@ class TestRatioSequence:
         panel = TimeSeriesPanel(values=rng.standard_normal((p, n)))
         factor_count.cumulative_ratio_sequence(panel, k0=3, J0=8)
         assert live_at_report == [False]
+
+
+class TestStackedSpectra:
+    """The per-lag spectra come from one stacked SVD call."""
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(n=400, d=5, p1=25, p_extra=25, seed=1),
+        ScenarioSpec(n=120, d=4, p1=30, p_extra=80, seed=2),
+        ScenarioSpec(n=1259, d=9, p1=45, p_extra=72, seed=44),
+    ], ids=["tall-150x400", "wide-200x120", "realdata-477x1259"])
+    def test_equal_to_per_lag_loop(self, spec):
+        panel, _ = generate_scenario(spec)
+        stack = lag_stack(panel, 5)
+        report = cumulative_ratio_sequence(stack, k0=5, J0=8)
+        with threads_for_dim(min(panel.p, panel.n)):
+            want = per_lag_spectra_oracle(stack.covs, panel.p)
+        np.testing.assert_array_equal(report.per_lag_eigenvalues, want)
+
+    @pytest.mark.parametrize("failing_lag, message", [
+        (2, "eigen-solver failure at lag 2: SVD did not converge"),
+        (None, "eigen-solver failure on the stacked lags"),
+    ])
+    def test_failure_names_the_first_failing_lag(self, monkeypatch, failing_lag,
+                                                 message):
+        panel = rank_one_panel()
+        covs = lag_stack(panel, 3).covs
+        svd = np.linalg.svd
+
+        def failing_svd(a, *args, **kwargs):
+            if a.ndim == 3 or (failing_lag is not None
+                               and np.array_equal(a, covs[failing_lag])):
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(FactorCountError) as raised:
+            cumulative_ratio_sequence(panel, k0=3)
+        assert str(raised.value) == message
 
 
 class TestSelection:

@@ -1,5 +1,7 @@
 import concurrent.futures
 import multiprocessing
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from factorclust import (
 )
 import factorclust._blas as blas
 import factorclust.simulation as sim
+from factorclust.cli import main
 from factorclust.simulation import _ar1_paths, _draw_coefficients, _ma1_paths
 
 from oracles import numpy_openblas
@@ -383,3 +386,147 @@ class TestOneBlasThread:
         assert result.n_completed == 2
         [pool] = recording_pool
         assert pool["mp_context"].get_start_method() == "fork"
+
+
+@pytest.fixture(params=[True, False], ids=["helper", "no-helper"])
+def helper(request, monkeypatch):
+    """Forces the CPU probe of ``replication_record``'s helper thread."""
+    monkeypatch.setattr(sim, "_spare_cpu", lambda: request.param)
+    return request.param
+
+
+def _ratio_threads(monkeypatch) -> list[str]:
+    """Names of the threads that run each ratio report, as they run."""
+    names = []
+    ratio = sim.cumulative_ratio_sequence
+
+    def recording(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return ratio(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "cumulative_ratio_sequence", recording)
+    return names
+
+
+def _fail(monkeypatch, name: str, when=lambda *args: True) -> None:
+    """Make ``sim.<name>`` raise ``RuntimeError("<name> failed")`` on the
+    calls for which ``when(*args)`` holds."""
+    original = getattr(sim, name)
+
+    def failing(*args, **kwargs):
+        if when(*args):
+            raise RuntimeError(f"{name} failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sim, name, failing)
+
+
+class TestHelperThread:
+    """The ratio report of a serial replication on a helper thread."""
+
+    SMALL = ScenarioSpec(n=100, d=2, p1=5, p_extra=2, seed=12)
+    CONFIG = MonteCarloConfig(k0=1)
+
+    def test_serial_replications_use_it_with_a_spare_cpu(self, monkeypatch, helper):
+        names = _ratio_threads(monkeypatch)
+        run_monte_carlo(self.SMALL, reps=3, config=self.CONFIG)
+        caller = threading.current_thread().name
+        assert names == ["factorclust-helper" if helper else caller] * 3
+
+    def test_pool_workers_run_without_it(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(sim, "_spare_cpu", lambda: True)
+        names = _ratio_threads(monkeypatch)
+        pooled = sim.run_monte_carlo(self.SMALL, reps=2, config=self.CONFIG, jobs=2)
+        serial = sim.run_monte_carlo(self.SMALL, reps=2, config=self.CONFIG, jobs=1)
+        assert pooled.records == serial.records
+        caller = threading.current_thread().name
+        assert names == [caller] * 2 + ["factorclust-helper"] * 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_thread_outlives_the_run(self, monkeypatch, jobs):
+        monkeypatch.setattr(sim, "_spare_cpu", lambda: True)
+        before = set(threading.enumerate())
+        # replication 1 fails in its branch, the others complete
+        failing_seed = sim._replication_seed(self.SMALL.seed, 1)
+        _fail(monkeypatch, "_evaluate_branch",
+              lambda stack, truth, r0, r, config, seed: seed == failing_seed)
+        result = sim.run_monte_carlo(self.SMALL, reps=3, config=self.CONFIG, jobs=jobs)
+        assert result.failures == [(1, "RuntimeError: _evaluate_branch failed")]
+        assert set(threading.enumerate()) <= before
+        # every replication fails in its ratio step
+        with pytest.raises(SimulationError):
+            sim.run_monte_carlo(self.SMALL, reps=3, jobs=jobs,
+                                config=MonteCarloConfig(k0=1, J0=50))
+        assert set(threading.enumerate()) <= before
+
+    def test_ratio_failure_recorded_as_before(self, helper):
+        # J0 past p = 12 fails the ratio step of every replication
+        with pytest.raises(SimulationError) as raised:
+            run_monte_carlo(self.SMALL, reps=2, config=MonteCarloConfig(k0=1, J0=50))
+        assert str(raised.value) == (
+            "all 2 replications failed; first error: FactorCountError: "
+            "J0=50 exceeds the number of series p=12"
+        )
+
+    @pytest.mark.parametrize("failing, first", [
+        (["cumulative_ratio_sequence", "_evaluate_branch"], "cumulative_ratio_sequence"),
+        (["single_matrix_ratio_baseline", "_evaluate_branch"],
+         "single_matrix_ratio_baseline"),
+        (["_evaluate_branch"], "_evaluate_branch"),
+    ])
+    def test_first_failure_in_stage_order(self, monkeypatch, helper, failing, first):
+        for name in failing:
+            _fail(monkeypatch, name)
+        rep, record, error = sim._worker((self.SMALL, MonteCarloConfig(k0=1), 0))
+        assert (rep, record, error) == (0, None, f"RuntimeError: {first} failed")
+
+    def test_concurrent_runs_share_the_blas_setting(self, monkeypatch,
+                                                    caller_on_two_blas_threads):
+        # more Python threads than cores, switching often: three runs, each
+        # with its helpers, enter and leave one-thread bodies at once
+        getter = caller_on_two_blas_threads
+        monkeypatch.setattr(sim, "_spare_cpu", lambda: True)
+        spec = scenario_i(p1=20, seed=5)
+        expected = run_monte_carlo(spec, reps=2).records
+        results, errors = [], []
+
+        def work():
+            try:
+                results.append(run_monte_carlo(spec, reps=2).records)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [threading.Thread(target=work) for _ in range(3)]
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        assert errors == [] and results == [expected] * 3
+        assert getter() == 2
+
+    @pytest.mark.parametrize("scenario, p1", [("I", 20), ("II", 10)])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_outputs_identical_with_and_without_it(self, tmp_path, monkeypatch,
+                                                   scenario, p1, jobs):
+        # (k0 + 1) * p > 500: the stacked SVD runs without the GIL
+        spec = (scenario_i if scenario == "I" else scenario_ii)(p1=p1, seed=3)
+        config = MonteCarloConfig(k0=5, estimated_counts=True)
+        records, written = {}, {}
+        for on in (True, False):
+            monkeypatch.setattr(sim, "_spare_cpu", lambda on=on: on)
+            result = sim.run_monte_carlo(spec, reps=3, config=config, jobs=jobs)
+            records[on] = [list(rec.items()) for rec in result.records]
+            out = tmp_path / str(on)
+            assert main(["simulate", "--scenario", scenario, "--p1", str(p1),
+                         "--reps", "3", "--estimated-counts", "--jobs", str(jobs),
+                         "--out", str(out)]) == 0
+            written[on] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert any(name == "strong_err_op_est" for name, _ in records[True][0])
+        assert records[True] == records[False]
+        assert written[True] == written[False]
