@@ -11,9 +11,9 @@ the controls do nothing.  The thread count is process-wide, so code on
 other Python threads of the process sees the setting while a body runs.
 Bodies may overlap across Python threads: the first to enter saves the
 counts, and the last to leave restores them.  The package itself runs two
-bodies at once: a serial Monte Carlo replication computes its per-lag
-SVDs (a pinned body) on a helper thread, while its known-counts branch
-runs on the caller's thread inside the batch's body
+bodies at once: a Monte Carlo replication may compute its per-lag SVDs
+(a pinned body) on a helper thread, while its known-counts branch runs
+on the caller's thread inside the batch's body
 (``simulation.replication_record``).
 """
 

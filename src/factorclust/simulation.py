@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
-from contextvars import ContextVar
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -415,59 +414,59 @@ def _evaluate_branch(
     return out
 
 
-# False while a pool worker runs a replication: the workers already
-# share the CPUs, and a helper thread in each was measured slower
-_helper_allowed: ContextVar[bool] = ContextVar("helper_allowed", default=True)
+# numpy's stacked SVD releases the GIL once stack count * rows exceeds
+# this; below it, two overlapping calls run no faster than one after the
+# other (ROADMAP, dead ends)
+GIL_FREE_STACK_ROWS = 500
 
 
-def _spare_cpu() -> bool:
-    """True when this process may run on at least two CPUs."""
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-class _Outcome:
-    """The value of ``fn(*args, **kwargs)``, or the exception it raised.
+def _helper_thread(spec: ScenarioSpec, config: MonteCarloConfig, workers: int) -> bool:
+    """Whether ``run_monte_carlo`` runs each ratio report on a helper thread.
 
-    With ``on_thread`` the call runs on a helper thread, which ``wait``
-    joins; otherwise it runs at once.  ``get`` waits, then returns the
-    value or raises the exception.
+    Only where there is a known-counts branch to run beside it, the
+    report's stacked SVD releases the GIL, and every worker has a CPU
+    for its helper besides its own.
     """
-
-    def __init__(self, fn, *args, on_thread: bool = False, **kwargs):
-        self._value = self._error = self._thread = None
-        if on_thread:
-            self._thread = threading.Thread(target=self._run, args=(fn, args, kwargs),
-                                            name="factorclust-helper")
-            self._thread.start()
-        else:
-            self._run(fn, args, kwargs)
-
-    def _run(self, fn, args, kwargs) -> None:
-        try:
-            self._value = fn(*args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - raised again by get
-            self._error = exc
-
-    def wait(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-
-    def get(self):
-        self.wait()
-        if self._error is not None:
-            raise self._error
-        return self._value
+    return (
+        config.known_counts
+        and (config.k0 + 1) * min(spec.p, spec.n) > GIL_FREE_STACK_ROWS
+        and _cpu_count() >= 2 * workers
+    )
 
 
-def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
+def _settled(fn):
+    """Call ``fn`` now; return a callable that gives its value or raises
+    its exception again."""
+    try:
+        value = fn()
+    except Exception as exc:  # noqa: BLE001 - raised again when called
+        error = exc
+
+        def settled():
+            raise error
+    else:
+        def settled():
+            return value
+    return settled
+
+
+def replication_record(
+    spec: ScenarioSpec, config: MonteCarloConfig, *, helper: bool = False
+) -> dict:
     """All metrics of one replication (factor counts plus both branches).
 
-    With a second CPU, and outside a ``run_monte_carlo`` pool worker, the
-    ratio report runs on a helper thread beside the known-counts branch:
-    its stacked SVD releases the GIL (see ``cumulative_ratio_sequence``).
-    The helper is joined, also on an error, before the counts are
+    With ``helper``, the ratio report runs on a helper thread beside the
+    known-counts branch; its stacked SVD runs without the GIL once
+    (k0 + 1) * min(p, n) > ``GIL_FREE_STACK_ROWS`` (see
+    ``cumulative_ratio_sequence``), and ``run_monte_carlo`` sets it only
+    then.  The helper is joined, also on an error, before the counts are
     selected.  The record, and the first failure raised, are those of the
     stages run one after another: ratio report, count selection,
     baseline, known-counts branch, estimated branch.
@@ -477,14 +476,18 @@ def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
     out: dict = {}
 
     stack = lag_stack(panel, config.k0)
-    ratio = _Outcome(cumulative_ratio_sequence, stack, k0=config.k0, J0=config.J0,
-                     on_thread=_helper_allowed.get() and _spare_cpu())
-    try:
-        known = _Outcome(_evaluate_branch, stack, truth, r0_true, r_true, config,
-                         spec.seed) if config.known_counts else None
-    finally:
-        ratio.wait()
-    report = ratio.get()
+    known = partial(_evaluate_branch, stack, truth, r0_true, r_true, config, spec.seed)
+    if helper and config.known_counts:
+        # imported here: only a run with a helper needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(1, thread_name_prefix="factorclust-helper") as pool:
+            ratio = pool.submit(cumulative_ratio_sequence, stack, k0=config.k0,
+                                J0=config.J0)
+            known = _settled(known)
+        report = ratio.result()
+    else:
+        report = cumulative_ratio_sequence(stack, k0=config.k0, J0=config.J0)
     selection: tuple[int, int] | None = None
     try:
         r0_hat, r_hat = select_factor_counts(report)
@@ -506,8 +509,8 @@ def replication_record(spec: ScenarioSpec, config: MonteCarloConfig) -> dict:
             out["baseline_r0_correct"] = False
             out["baseline_total_correct"] = False
 
-    if known is not None:
-        out.update(known.get())
+    if config.known_counts:
+        out.update(known())
     if config.estimated_counts and selection is not None:
         r0_hat, r_hat = selection
         m = min(panel.p, panel.n)
@@ -526,21 +529,12 @@ def _replication_seed(master_seed: int, rep: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _worker(args: tuple[ScenarioSpec, MonteCarloConfig, int]):
-    spec, config, rep = args
+def _worker(args: tuple[ScenarioSpec, MonteCarloConfig, int, bool]):
+    spec, config, rep, helper = args
     try:
-        return rep, replication_record(spec, config), None
+        return rep, replication_record(spec, config, helper=helper), None
     except Exception as exc:  # noqa: BLE001 - recorded, never dropped silently
         return rep, None, f"{type(exc).__name__}: {exc}"
-
-
-def _pool_worker(args: tuple[ScenarioSpec, MonteCarloConfig, int]):
-    """``_worker`` without the helper thread of ``replication_record``."""
-    token = _helper_allowed.set(False)
-    try:
-        return _worker(args)
-    finally:
-        _helper_allowed.reset(token)
 
 
 def run_monte_carlo(
@@ -557,24 +551,25 @@ def run_monte_carlo(
 
     Every replication runs on one BLAS thread, serially or in a pool of
     ``min(jobs, reps)`` workers, so the result does not depend on the
-    OpenBLAS thread count either.  A serial run on a process with a
-    second CPU also runs each replication's ratio report on a helper
-    thread beside its known-counts branch (``replication_record``); the
-    helper is joined before the replication returns, and pool workers run
-    without it.  The workers are forked whatever the default start
-    method, so they inherit the setting and leave no helper process
-    behind.
+    OpenBLAS thread count either.  Each replication also runs its ratio
+    report on a helper thread beside its known-counts branch
+    (``replication_record``) where the process may run on two CPUs per
+    worker and (k0 + 1) * min(p, n) > ``GIL_FREE_STACK_ROWS``; the helper
+    is joined before the replication returns.  The workers are forked
+    whatever the default start method, so they inherit the setting and
+    leave no helper process behind.
     The setting is process-wide while the replications run, and the
     caller's thread count is restored when they end.
     """
     if reps < 1:
         raise SimulationError(f"reps must be at least 1, got {reps}")
     config = config or MonteCarloConfig()
+    workers = min(jobs, reps)
+    helper = _helper_thread(spec, config, workers)
     tasks = [
-        (replace(spec, seed=_replication_seed(spec.seed, rep)), config, rep)
+        (replace(spec, seed=_replication_seed(spec.seed, rep)), config, rep, helper)
         for rep in range(reps)
     ]
-    workers = min(jobs, reps)
     with _one_blas_thread():
         if workers > 1:
             # imported here: a serial run needs neither
@@ -583,7 +578,7 @@ def run_monte_carlo(
 
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
-                raw = list(pool.map(_pool_worker, tasks))
+                raw = list(pool.map(_worker, tasks))
         else:
             raw = [_worker(t) for t in tasks]
     raw.sort(key=lambda item: item[0])

@@ -14,6 +14,7 @@ from factorclust import (
     generate_example1,
     generate_scenario,
     read_scenario_config,
+    replication_record,
     run_monte_carlo,
     scenario_i,
     scenario_ii,
@@ -240,11 +241,11 @@ class TestMonteCarlo:
         calls = {"n": 0}
         original = sim.replication_record
 
-        def flaky(spec, config):
+        def flaky(spec, config, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("synthetic breakdown")
-            return original(spec, config)
+            return original(spec, config, **kwargs)
 
         monkeypatch.setattr(sim, "replication_record", flaky)
         spec = ScenarioSpec(n=100, d=2, p1=5, p_extra=2, seed=11)
@@ -309,7 +310,7 @@ class TestOneBlasThread:
                                          jobs):
         getter = caller_on_two_blas_threads
         monkeypatch.setattr(sim, "replication_record",
-                            lambda spec, config: {"blas_threads": getter()})
+                            lambda spec, config, **kwargs: {"blas_threads": getter()})
         result = sim.run_monte_carlo(self.SMALL, reps=4, config=self.SMALL_CONFIG,
                                      jobs=jobs)
         assert [rec["blas_threads"] for rec in result.records] == [1] * 4
@@ -320,7 +321,7 @@ class TestOneBlasThread:
             self, monkeypatch, caller_on_two_blas_threads, jobs):
         getter = caller_on_two_blas_threads
 
-        def broken(spec, config):
+        def broken(spec, config, **kwargs):
             raise RuntimeError(f"broken on {getter()} threads")
 
         monkeypatch.setattr(sim, "replication_record", broken)
@@ -388,10 +389,12 @@ class TestOneBlasThread:
         assert pool["mp_context"].get_start_method() == "fork"
 
 
-@pytest.fixture(params=[True, False], ids=["helper", "no-helper"])
-def helper(request, monkeypatch):
-    """Forces the CPU probe of ``replication_record``'s helper thread."""
-    monkeypatch.setattr(sim, "_spare_cpu", lambda: request.param)
+@pytest.fixture(params=[8, 1], ids=["8-cpus", "1-cpu"])
+def cpus(request, monkeypatch):
+    """Forces the CPU count that decides on ``replication_record``'s helper
+    thread: with 8 a helper runs beside each of up to 4 workers, with 1
+    never."""
+    monkeypatch.setattr(sim, "_cpu_count", lambda: request.param)
     return request.param
 
 
@@ -408,66 +411,102 @@ def _ratio_threads(monkeypatch) -> list[str]:
     return names
 
 
-def _fail(monkeypatch, name: str, when=lambda *args: True) -> None:
-    """Make ``sim.<name>`` raise ``RuntimeError("<name> failed")`` on the
-    calls for which ``when(*args)`` holds."""
+def _on_helper(name: str) -> bool:
+    return name.startswith("factorclust-helper")
+
+
+def _fail(monkeypatch, name: str, when=lambda *args: True, error=RuntimeError):
+    """Make ``sim.<name>`` raise ``error("<name> failed")`` on the calls
+    for which ``when(*args)`` holds; returns the list of all its calls."""
     original = getattr(sim, name)
+    calls = []
 
     def failing(*args, **kwargs):
+        calls.append(args)
         if when(*args):
-            raise RuntimeError(f"{name} failed")
+            raise error(f"{name} failed")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sim, name, failing)
+    return calls
 
 
 class TestHelperThread:
-    """The ratio report of a serial replication on a helper thread."""
+    """The ratio report of a replication on a helper thread."""
 
-    SMALL = ScenarioSpec(n=100, d=2, p1=5, p_extra=2, seed=12)
-    CONFIG = MonteCarloConfig(k0=1)
+    # (k0 + 1) * min(p, n) = 8 * 70 = 560: the stacked SVD runs without the GIL
+    WIDE = ScenarioSpec(n=100, d=2, p1=30, p_extra=10, seed=12)
+    CONFIG = MonteCarloConfig(k0=7)
 
-    def test_serial_replications_use_it_with_a_spare_cpu(self, monkeypatch, helper):
+    @pytest.mark.parametrize("k0, p, n, workers, cpus, expected", [
+        (4, 100, 200, 1, 2, False),  # 5 * 100 = 500 rows: the GIL is held
+        (2, 167, 200, 1, 2, True),   # 3 * 167 = 501 rows
+        (2, 200, 167, 1, 2, True),   # min(p, n) counts
+        (2, 167, 200, 1, 1, False),  # no CPU for the helper
+        (2, 167, 200, 2, 3, False),  # one CPU short of two per worker
+        (2, 167, 200, 2, 4, True),
+    ])
+    def test_when_it_runs(self, monkeypatch, k0, p, n, workers, cpus, expected):
+        monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+        spec = ScenarioSpec(n=n, d=1, p1=p - 1, p_extra=1)
+        assert spec.p == p
+        config = MonteCarloConfig(k0=k0)
+        assert sim._helper_thread(spec, config, workers) is expected
+        # with no known-counts branch there is nothing to run beside it
+        no_branch = MonteCarloConfig(k0=k0, known_counts=False, estimated_counts=True)
+        assert sim._helper_thread(spec, no_branch, workers) is False
+
+    def test_serial_replications_use_it_with_a_spare_cpu(self, monkeypatch, cpus):
         names = _ratio_threads(monkeypatch)
-        run_monte_carlo(self.SMALL, reps=3, config=self.CONFIG)
-        caller = threading.current_thread().name
-        assert names == ["factorclust-helper" if helper else caller] * 3
+        run_monte_carlo(self.WIDE, reps=3, config=self.CONFIG)
+        assert [_on_helper(name) for name in names] == [cpus >= 2] * 3
 
-    def test_pool_workers_run_without_it(self, monkeypatch, recording_pool):
-        monkeypatch.setattr(sim, "_spare_cpu", lambda: True)
+    def test_small_panels_and_direct_calls_run_inline(self, monkeypatch, cpus):
         names = _ratio_threads(monkeypatch)
-        pooled = sim.run_monte_carlo(self.SMALL, reps=2, config=self.CONFIG, jobs=2)
-        serial = sim.run_monte_carlo(self.SMALL, reps=2, config=self.CONFIG, jobs=1)
-        assert pooled.records == serial.records
-        caller = threading.current_thread().name
-        assert names == [caller] * 2 + ["factorclust-helper"] * 2
+        # 2 * 12 = 24 rows: the stacked SVD holds the GIL
+        run_monte_carlo(ScenarioSpec(n=100, d=2, p1=5, p_extra=2, seed=12), reps=2,
+                        config=MonteCarloConfig(k0=1))
+        replication_record(self.WIDE, self.CONFIG)
+        assert names == [threading.current_thread().name] * 3
+
+    @pytest.mark.parametrize("cpus, on_helper", [(2, False), (4, True)])
+    def test_pool_workers_use_it_with_two_cpus_each(self, monkeypatch, recording_pool,
+                                                    cpus, on_helper):
+        monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+        names = _ratio_threads(monkeypatch)
+        pooled = sim.run_monte_carlo(self.WIDE, reps=2, config=self.CONFIG, jobs=2)
+        assert [_on_helper(name) for name in names] == [on_helper] * 2
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
+        assert pooled.records == sim.run_monte_carlo(self.WIDE, reps=2,
+                                                     config=self.CONFIG).records
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_no_thread_outlives_the_run(self, monkeypatch, jobs):
-        monkeypatch.setattr(sim, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
         before = set(threading.enumerate())
         # replication 1 fails in its branch, the others complete
-        failing_seed = sim._replication_seed(self.SMALL.seed, 1)
+        failing_seed = sim._replication_seed(self.WIDE.seed, 1)
         _fail(monkeypatch, "_evaluate_branch",
               lambda stack, truth, r0, r, config, seed: seed == failing_seed)
-        result = sim.run_monte_carlo(self.SMALL, reps=3, config=self.CONFIG, jobs=jobs)
+        result = sim.run_monte_carlo(self.WIDE, reps=3, config=self.CONFIG, jobs=jobs)
         assert result.failures == [(1, "RuntimeError: _evaluate_branch failed")]
         assert set(threading.enumerate()) <= before
         # every replication fails in its ratio step
         with pytest.raises(SimulationError):
-            sim.run_monte_carlo(self.SMALL, reps=3, jobs=jobs,
-                                config=MonteCarloConfig(k0=1, J0=50))
+            sim.run_monte_carlo(self.WIDE, reps=3, jobs=jobs,
+                                config=MonteCarloConfig(k0=7, J0=80))
         assert set(threading.enumerate()) <= before
 
-    def test_ratio_failure_recorded_as_before(self, helper):
-        # J0 past p = 12 fails the ratio step of every replication
+    def test_ratio_failure_recorded_as_before(self, cpus):
+        # J0 past p = 70 fails the ratio step of every replication
         with pytest.raises(SimulationError) as raised:
-            run_monte_carlo(self.SMALL, reps=2, config=MonteCarloConfig(k0=1, J0=50))
+            run_monte_carlo(self.WIDE, reps=2, config=MonteCarloConfig(k0=7, J0=80))
         assert str(raised.value) == (
             "all 2 replications failed; first error: FactorCountError: "
-            "J0=50 exceeds the number of series p=12"
+            "J0=80 exceeds the number of series p=70"
         )
 
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
     @pytest.mark.parametrize("failing, first", [
         (["cumulative_ratio_sequence", "_evaluate_branch"], "cumulative_ratio_sequence"),
         (["single_matrix_ratio_baseline", "_evaluate_branch"],
@@ -477,15 +516,33 @@ class TestHelperThread:
     def test_first_failure_in_stage_order(self, monkeypatch, helper, failing, first):
         for name in failing:
             _fail(monkeypatch, name)
-        rep, record, error = sim._worker((self.SMALL, MonteCarloConfig(k0=1), 0))
+        rep, record, error = sim._worker((self.WIDE, self.CONFIG, 0, helper))
         assert (rep, record, error) == (0, None, f"RuntimeError: {first} failed")
+
+    def test_inline_ratio_failure_skips_the_branch(self, monkeypatch):
+        _fail(monkeypatch, "cumulative_ratio_sequence")
+        branch = _fail(monkeypatch, "_evaluate_branch", lambda *args: False)
+        with pytest.raises(RuntimeError, match="cumulative_ratio_sequence failed"):
+            replication_record(self.WIDE, self.CONFIG)
+        assert branch == []
+
+    def test_interrupt_in_the_branch_is_not_held(self, monkeypatch):
+        # raised at once, ahead of the ratio report's failure, with the
+        # helper joined (the autouse thread check)
+        _fail(monkeypatch, "cumulative_ratio_sequence")
+        _fail(monkeypatch, "_evaluate_branch", error=KeyboardInterrupt)
+        baseline = _fail(monkeypatch, "single_matrix_ratio_baseline", lambda *args: False)
+        with pytest.raises(KeyboardInterrupt, match="_evaluate_branch failed"):
+            replication_record(self.WIDE, self.CONFIG, helper=True)
+        assert baseline == []
 
     def test_concurrent_runs_share_the_blas_setting(self, monkeypatch,
                                                     caller_on_two_blas_threads):
         # more Python threads than cores, switching often: three runs, each
         # with its helpers, enter and leave one-thread bodies at once
         getter = caller_on_two_blas_threads
-        monkeypatch.setattr(sim, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
+        names = _ratio_threads(monkeypatch)
         spec = scenario_i(p1=20, seed=5)
         expected = run_monte_carlo(spec, reps=2).records
         results, errors = [], []
@@ -508,25 +565,27 @@ class TestHelperThread:
             sys.setswitchinterval(interval)
         assert not any(run.is_alive() for run in runs)
         assert errors == [] and results == [expected] * 3
+        assert all(_on_helper(name) for name in names) and len(names) == 8
         assert getter() == 2
 
     @pytest.mark.parametrize("scenario, p1", [("I", 20), ("II", 10)])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_outputs_identical_with_and_without_it(self, tmp_path, monkeypatch,
                                                    scenario, p1, jobs):
-        # (k0 + 1) * p > 500: the stacked SVD runs without the GIL
+        # (k0 + 1) * p = 720 and 900: the stacked SVD runs without the GIL
         spec = (scenario_i if scenario == "I" else scenario_ii)(p1=p1, seed=3)
         config = MonteCarloConfig(k0=5, estimated_counts=True)
         records, written = {}, {}
-        for on in (True, False):
-            monkeypatch.setattr(sim, "_spare_cpu", lambda on=on: on)
+        for cpus in (8, 1):
+            monkeypatch.setattr(sim, "_cpu_count", lambda cpus=cpus: cpus)
             result = sim.run_monte_carlo(spec, reps=3, config=config, jobs=jobs)
-            records[on] = [list(rec.items()) for rec in result.records]
-            out = tmp_path / str(on)
+            records[cpus] = [list(rec.items()) for rec in result.records]
+            out = tmp_path / str(cpus)
             assert main(["simulate", "--scenario", scenario, "--p1", str(p1),
                          "--reps", "3", "--estimated-counts", "--jobs", str(jobs),
                          "--out", str(out)]) == 0
-            written[on] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-        assert any(name == "strong_err_op_est" for name, _ in records[True][0])
-        assert records[True] == records[False]
-        assert written[True] == written[False]
+            written[cpus] = {path.name: path.read_bytes()
+                             for path in sorted(out.iterdir())}
+        assert any(name == "strong_err_op_est" for name, _ in records[8][0])
+        assert records[8] == records[1]
+        assert written[8] == written[1]
