@@ -528,7 +528,7 @@ class ClusteringResult:
             return ids[i] if ids is not None else int(i)
 
         out = {
-            "provenance": self.provenance,
+            "provenance": dict(self.provenance),
             "counts": {"r0": int(self.counts[0]), "r": int(self.counts[1])},
             "omega": float(self.omega),
             "no_cluster": [_name(i) for i in self.no_cluster_indices],

@@ -50,18 +50,18 @@ class FactorCountError(ValueError):
 
 @dataclass(frozen=True)
 class FactorCountReport:
-    """Ratio sequence, truncation flags and the selection they imply.
+    """Ratio sequence and everything it implies: truncation, the local
+    maxima and the selection.
 
     Attributes
     ----------
     ratios : ndarray, shape (J0 - 1,)
         R_1..R_{J0-1}; ``inf`` marks the single admissible spike caused by
         a zero denominator, ``nan`` marks excluded 0/0 positions.
-    truncated : ndarray of bool
-        True where the denominator fell below the zero guard.
-    local_max_indices : list of int
-        1-based positions s with R_s > max(R_{s-1}, R_{s+1}), using
-        R_0 = 1 and a left-sided test at s = J0 - 1.
+    k0 : int
+        Largest lag pooled.
+    n : int
+        Number of time points of the panel.
     per_lag_eigenvalues : ndarray, shape (rows, p)
         Row k holds the descending eigenvalues of S(k) S(k)^T; for the
         single-matrix baseline a single row holds the eigenvalues of M.
@@ -69,19 +69,38 @@ class FactorCountReport:
         computed in n dimensions (see ``panel.lag_stack``).
     method : {"cumulative", "pooled"}
 
-    The report is frozen: no field can be reassigned.  The properties
-    ``selected`` and ``tie_break_applied`` are derived from ``ratios`` and
-    ``local_max_indices``.
+    The report is frozen: no field can be reassigned.  ``J0``,
+    ``truncated``, ``local_max_indices``, ``selected`` and
+    ``tie_break_applied`` are properties derived from ``ratios``.
     """
 
     ratios: np.ndarray
-    truncated: np.ndarray
-    local_max_indices: list[int]
-    J0: int
     k0: int
     n: int
     per_lag_eigenvalues: np.ndarray
     method: str = "cumulative"
+
+    @property
+    def J0(self) -> int:
+        """Ratio truncation point: one more than the number of ratios."""
+        return len(self.ratios) + 1
+
+    @property
+    def truncated(self) -> np.ndarray:
+        """True where the denominator fell below the zero guard: a finite
+        ratio always has its denominator above it."""
+        return ~np.isfinite(self.ratios)
+
+    @property
+    def local_max_indices(self) -> list[int]:
+        """1-based positions s with R_s > max(R_{s-1}, R_{s+1}), using
+        R_0 = 1 and a left-sided test at s = J0 - 1.  An inf spike always
+        qualifies; a nan never does, and no finite ratio beats one."""
+        r = self.ratios
+        left = np.concatenate(([1.0], r[:-1]))
+        right = np.concatenate((r[1:], [-np.inf]))
+        is_max = np.isposinf(r) | ((r > left) & (r > right))
+        return (np.flatnonzero(is_max) + 1).tolist()
 
     @property
     def selected(self) -> tuple[int, int] | None:
@@ -151,60 +170,17 @@ def _checked_j0(J0: int | None, p: int, n: int) -> int:
     return J0
 
 
-def _ratios_from_weighted_sums(weighted: np.ndarray, j0: int):
-    """Build R_1..R_{J0-1} with truncation flags from the pooled sums."""
+def _ratios(weighted: np.ndarray, J0: int) -> np.ndarray:
+    """R_1..R_{J0-1} from the pooled sums.  A denominator below the
+    relative guard is zero: over a numerator still above it the ratio is
+    an inf spike, otherwise it is 0/0 noise (nan)."""
     guard = DENOMINATOR_GUARD * weighted[0]
-    ratios = np.empty(j0 - 1)
-    truncated = np.zeros(j0 - 1, dtype=bool)
-    for j in range(1, j0):
-        num, den = weighted[j - 1], weighted[j]
-        if den < guard or den <= 0.0:
-            truncated[j - 1] = True
-            ratios[j - 1] = np.inf if num >= guard and num > 0.0 else np.nan
-        else:
-            ratios[j - 1] = num / den
-    return ratios, truncated
-
-
-def _local_maxima(ratios: np.ndarray, truncated: np.ndarray) -> list[int]:
-    """1-based indices of admissible local maxima of the ratio sequence.
-
-    R_0 = 1 on the left; the last position J0-1 only needs to beat its
-    left neighbour.  Excluded (nan) entries cannot be maxima; the single
-    inf spike always qualifies.
-    """
-    m = len(ratios)
-    out: list[int] = []
-    for j in range(1, m + 1):
-        value = ratios[j - 1]
-        if truncated[j - 1]:
-            if np.isinf(value):
-                out.append(j)
-            continue
-        left = 1.0 if j == 1 else ratios[j - 2]
-        if not value > left:
-            continue
-        if j < m and not value > ratios[j]:
-            continue
-        out.append(j)
-    return out
-
-
-def _ratio_report(
-    weighted: np.ndarray, J0: int, k0: int, n: int, eigs: np.ndarray, method: str
-) -> FactorCountReport:
-    """Report of the ratios of ``weighted`` up to J0."""
-    ratios, truncated = _ratios_from_weighted_sums(weighted, J0)
-    return FactorCountReport(
-        ratios=ratios,
-        truncated=truncated,
-        local_max_indices=_local_maxima(ratios, truncated),
-        J0=J0,
-        k0=k0,
-        n=n,
-        per_lag_eigenvalues=eigs,
-        method=method,
-    )
+    num, den = weighted[: J0 - 1], weighted[1:J0]
+    zero = (den < guard) | (den <= 0.0)
+    spike = (num >= guard) & (num > 0.0)
+    # only the positions ``zero`` replaces can divide by zero or overflow
+    with np.errstate(all="ignore"):
+        return np.where(zero, np.where(spike, np.inf, np.nan), num / den)
 
 
 def cumulative_ratio_sequence(
@@ -251,7 +227,7 @@ def cumulative_ratio_sequence(
     # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
     np.square(singular, out=eigs[:, : singular.shape[1]])
     weights = 1.0 - np.arange(k0 + 1) / n
-    return _ratio_report(weights @ eigs, J0, k0, n, eigs, "cumulative")
+    return FactorCountReport(_ratios(weights @ eigs, J0), k0, n, eigs, "cumulative")
 
 
 def _failing_lag(covs: np.ndarray) -> FactorCountError:
@@ -281,7 +257,9 @@ def single_matrix_ratio_baseline(
     except np.linalg.LinAlgError as exc:
         raise FactorCountError(f"eigen-solver failure on pooled matrix: {exc}") from exc
     eigvals = np.clip(eigvals, 0.0, None)
-    return _ratio_report(eigvals, J0, k0, panel.n, eigvals[np.newaxis, :], "pooled")
+    return FactorCountReport(
+        _ratios(eigvals, J0), k0, panel.n, eigvals[np.newaxis, :], "pooled"
+    )
 
 
 def _ranked_maxima(report: FactorCountReport) -> list[int]:

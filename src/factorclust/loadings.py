@@ -208,13 +208,16 @@ def oracle_weak_projection(A_true: np.ndarray, B_padded: np.ndarray) -> np.ndarr
 
     Computes the projection onto the span of B* = (I - P_A) B_padded where
     P_A is the projection onto the span of A_true.  Neither input needs
-    orthonormal columns; general Gram-inverse projectors are used.
+    orthonormal columns: P_A comes from a thin QR of A_true, and the
+    result is Q Q^T for the Q of a thin QR of B*.  Q is read C-contiguous,
+    so numpy builds the product by syrk and it is symmetric bit for bit.
 
     Raises
     ------
     LoadingError
-        If A_true is rank deficient or B*^T B* has condition number
-        above 1e12.
+        If A_true has condition number above 1e6, or the smallest
+        singular value of B* is at most 1e-6 times the largest of
+        B_padded (B_padded lies in span(A_true) or is rank deficient).
     """
     a = np.asarray(A_true, dtype=float)
     b = np.asarray(B_padded, dtype=float)
@@ -222,17 +225,18 @@ def oracle_weak_projection(A_true: np.ndarray, B_padded: np.ndarray) -> np.ndarr
         raise LoadingError(
             f"incompatible shapes {a.shape} and {b.shape} for the true loadings"
         )
-    gram_a = a.T @ a
-    if np.linalg.cond(gram_a) > 1e12:
-        raise LoadingError("A_true is rank deficient (condition number > 1e12)")
-    b_star = b - a @ np.linalg.solve(gram_a, a.T @ b)
-    gram_b = b_star.T @ b_star
-    if np.linalg.cond(gram_b) > 1e12:
+    # a thin QR's R has the singular values of the matrix itself
+    q_a, r_a = np.linalg.qr(a)
+    if a.shape[1] > a.shape[0] or np.linalg.cond(r_a) > 1e6:
+        raise LoadingError("A_true is rank deficient (condition number > 1e6)")
+    q, r_b = np.linalg.qr(b - q_a @ (q_a.T @ b))
+    if not np.linalg.svd(r_b, compute_uv=False)[-1] > 1e-6 * np.linalg.norm(b, 2):
         raise LoadingError(
-            "B* = (I - P_A) B_padded is rank deficient (condition number > 1e12)"
+            "B* = (I - P_A) B_padded is rank deficient "
+            "(smallest singular value <= 1e-6 ||B_padded||_2)"
         )
-    proj = b_star @ np.linalg.solve(gram_b, b_star.T)
-    return (proj + proj.T) / 2.0
+    q = np.ascontiguousarray(q)
+    return q @ q.T
 
 
 def save_loadings_csv(loading: LoadingMatrix, path: str | Path) -> None:

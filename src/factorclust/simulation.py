@@ -77,7 +77,9 @@ class ScenarioSpec:
 
     ``ar_range`` and ``ma_range`` give the magnitude interval of the
     serial-correlation coefficients; each drawn coefficient takes a random
-    sign, so the law is uniform on (-b, -a) union (a, b).
+    sign, so the law is uniform on (-b, -a) union (a, b).  Every range is
+    finite with low <= high; ``ar_range`` lies in [0, 1), and ``ma_range``
+    and ``factor_sd_range`` are nonnegative.
     """
 
     n: int = 400
@@ -107,6 +109,19 @@ class ScenarioSpec:
             )
         if self.noise_innovation_var < 0:
             raise SimulationError("noise innovation variance must be nonnegative")
+        for name in ("ar_range", "ma_range", "factor_sd_range", "loading_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise SimulationError(
+                    f"{name} must be finite with low <= high, got {lo}, {hi}"
+                )
+            if name != "loading_range" and lo < 0:
+                raise SimulationError(f"{name} must be nonnegative, got {lo}, {hi}")
+        if self.ar_range[1] >= 1:
+            # |phi| >= 1 has no stationary AR(1) path to start from
+            raise SimulationError(
+                f"ar_range must lie in [0, 1), got {self.ar_range[0]}, {self.ar_range[1]}"
+            )
         if self.seed < 0:
             raise SimulationError(f"seed must be nonnegative, got {self.seed}")
 

@@ -56,6 +56,49 @@ def per_lag_spectra_oracle(covs: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def ratios_oracle(weighted: np.ndarray, J0: int, guard_rel: float = 1e-14):
+    """R_1..R_{J0-1} and their truncation flags, one position at a time.
+
+    A denominator below ``guard_rel`` times the first sum is zero: over a
+    numerator still above the guard the ratio is an inf spike, otherwise
+    0/0 noise (nan).
+    """
+    guard = guard_rel * weighted[0]
+    ratios = np.empty(J0 - 1)
+    truncated = np.zeros(J0 - 1, dtype=bool)
+    for j in range(1, J0):
+        num, den = weighted[j - 1], weighted[j]
+        if den < guard or den <= 0.0:
+            truncated[j - 1] = True
+            ratios[j - 1] = np.inf if num >= guard and num > 0.0 else np.nan
+        else:
+            ratios[j - 1] = num / den
+    return ratios, truncated
+
+
+def local_maxima_oracle(ratios: np.ndarray, truncated: np.ndarray) -> list[int]:
+    """1-based local maxima of a ratio sequence, one position at a time.
+
+    R_0 = 1 on the left; the last position only needs to beat its left
+    neighbour.  A truncated position counts only as an inf spike.
+    """
+    m = len(ratios)
+    out: list[int] = []
+    for j in range(1, m + 1):
+        value = ratios[j - 1]
+        if truncated[j - 1]:
+            if np.isinf(value):
+                out.append(j)
+            continue
+        left = 1.0 if j == 1 else ratios[j - 2]
+        if not value > left:
+            continue
+        if j < m and not value > ratios[j]:
+            continue
+        out.append(j)
+    return out
+
+
 def residualize_oracle(values: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Column-by-column subtraction of the projection onto span(q)."""
     out = np.empty_like(values)

@@ -359,6 +359,25 @@ class TestSimulateCommand:
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"E_CONFIG: simulate: {cfg}:2: d: invalid value 'abc'"]
 
+    @pytest.mark.parametrize("line, message", [
+        ("ar_range=0.5,1.5", "ar_range must lie in [0, 1), got 0.5, 1.5"),
+        ("factor_sd_range=2.0,-1.0",
+         "factor_sd_range must be finite with low <= high, got 2.0, -1.0"),
+        ("ar_range=1.0,1.0", "ar_range must lie in [0, 1), got 1.0, 1.0"),
+    ])
+    def test_bad_range_in_config_before_replications(self, tmp_path, capsys,
+                                                     monkeypatch, line, message):
+        monkeypatch.setattr(factorclust.cli, "run_monte_carlo",
+                            lambda *args, **kwargs: pytest.fail("replications ran"))
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n=200\nd=2\np1=10\np_extra=5\n{line}\n")
+        code = main(["simulate", "--config", str(cfg), "--reps", "2", "--k0", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"E_CONFIG: simulate: {message}"]
+        assert not (tmp_path / "out").exists()
+
     def test_non_utf8_config_one_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"n=300\n# caf\xe9\nd=2\n")

@@ -752,3 +752,15 @@ class TestPipeline:
         assert payload["d_used"] == result.d_used
         assert len(payload["assignments"]) == len(result.retained_indices)
         assert payload["provenance"]["omega_variant"] == "p2"
+
+    def test_to_dict_hands_out_a_copy_of_the_provenance(self):
+        spec = ScenarioSpec(n=200, d=2, p1=6, p_extra=2, r0=1, r_per_cluster=1, seed=31)
+        panel, _ = generate_scenario(spec)
+        result = cluster_pipeline(panel, k0=2, counts=(1, 2), seed=0)
+        before = dict(result.provenance)
+        doc = result.to_dict()
+        assert doc["provenance"] == before
+        doc["provenance"]["input"] = "x.csv"
+        doc["provenance"].update(k0=99)
+        assert result.provenance == before
+        assert result.to_dict()["provenance"] is not result.provenance

@@ -21,23 +21,18 @@ from factorclust import factor_count
 from factorclust._blas import threads_for_dim
 from factorclust.panel import lag_stack
 
-from oracles import lag_autocov_oracle, per_lag_spectra_oracle
+from oracles import (
+    lag_autocov_oracle,
+    local_maxima_oracle,
+    per_lag_spectra_oracle,
+    ratios_oracle,
+)
 
 
-def make_report(ratios, J0=None):
+def make_report(ratios):
     ratios = np.asarray(ratios, dtype=float)
-    j0 = J0 or len(ratios) + 1
-    from factorclust.factor_count import _local_maxima
-
-    truncated = np.zeros(len(ratios), dtype=bool)
     return FactorCountReport(
-        ratios=ratios,
-        truncated=truncated,
-        local_max_indices=_local_maxima(ratios, truncated),
-        J0=j0,
-        k0=0,
-        n=100,
-        per_lag_eigenvalues=np.zeros((1, j0)),
+        ratios=ratios, k0=0, n=100, per_lag_eigenvalues=np.zeros((1, len(ratios) + 1))
     )
 
 
@@ -161,14 +156,14 @@ class TestRatioSequence:
             return stack
 
         live_at_report = []
-        ratio_report = factor_count._ratio_report
+        ratios = factor_count._ratios
 
-        def recording_ratio_report(*args):
+        def recording_ratios(*args):
             live_at_report.append(refs[0]() is not None)
-            return ratio_report(*args)
+            return ratios(*args)
 
         monkeypatch.setattr(factor_count, "lag_stack", recording_lag_stack)
-        monkeypatch.setattr(factor_count, "_ratio_report", recording_ratio_report)
+        monkeypatch.setattr(factor_count, "_ratios", recording_ratios)
         rng = np.random.default_rng(4)
         panel = TimeSeriesPanel(values=rng.standard_normal((p, n)))
         factor_count.cumulative_ratio_sequence(panel, k0=3, J0=8)
@@ -213,6 +208,61 @@ class TestStackedSpectra:
         assert str(raised.value) == message
 
 
+# pooled sums relative to their first: exact zeros, values just below, at
+# and above the 1e-14 guard, and repeated values that make equal ratios
+SUM_LEVELS = [0.0, 1e-16, 5e-15, 1e-14, 2e-14, 1e-13, 1e-3, 0.25, 0.5, 1.0]
+
+
+class TestDerivedFields:
+    """The report's derived fields equal the loop references of the rule."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        tail=st.lists(
+            st.one_of(st.sampled_from(SUM_LEVELS), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=12,
+        ),
+        scale_exp=st.integers(-40, 40),
+        data=st.data(),
+    )
+    def test_weighted_sums_match_loop_references(self, tail, scale_exp, data):
+        # the sums the estimators pool are descending and nonnegative
+        weighted = np.ldexp(np.array([1.0] + sorted(tail, reverse=True)), scale_exp)
+        J0 = data.draw(st.integers(2, len(weighted)), label="J0")
+        want, truncated = ratios_oracle(weighted, J0)
+        got = factor_count._ratios(weighted, J0)
+        np.testing.assert_array_equal(got, want)
+        report = make_report(want)
+        assert report.J0 == J0
+        np.testing.assert_array_equal(report.truncated, truncated)
+        assert report.local_max_indices == local_maxima_oracle(want, truncated)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        ratios=st.lists(
+            st.sampled_from([0.5, 1.0, 2.0, 5.0, np.inf, np.nan]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_any_sequence_matches_loop_reference(self, ratios):
+        ratios = np.asarray(ratios)
+        report = make_report(ratios)
+        truncated = ~np.isfinite(ratios)
+        np.testing.assert_array_equal(report.truncated, truncated)
+        assert report.local_max_indices == local_maxima_oracle(ratios, truncated)
+
+    def test_to_dict_lists_the_derived_fields(self):
+        payload = make_report([np.inf, np.nan, 3.0, 1.0]).to_dict()
+        assert payload["J0"] == 5
+        assert payload["ratios"] == ["inf", "nan", 3.0, 1.0]
+        assert payload["truncated"] == [True, True, False, False]
+        # R_3 = 3 has a nan on its left, so only the spike is a maximum
+        assert payload["local_max_indices"] == [1]
+        assert payload["selected"] is None
+
+
 class TestSelection:
     def test_hand_checkable_sequence(self):
         report = make_report([5.0, 1.1, 8.0, 1.0, 1.0])
@@ -250,8 +300,15 @@ class TestSelection:
         report = make_report([5.0, 1.1, 8.0, 1.0, 1.0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.ratios = np.ones(5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            report.local_max_indices = [1, 2]
+        # the derived properties cannot be assigned either
+        for name, value in [("J0", 3), ("truncated", np.zeros(5, dtype=bool)),
+                            ("local_max_indices", [1, 2]), ("selected", (1, 2))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, value)
+
+    def test_stores_only_ratios_and_their_context(self):
+        names = [f.name for f in dataclasses.fields(FactorCountReport)]
+        assert names == ["ratios", "k0", "n", "per_lag_eigenvalues", "method"]
 
     @settings(deadline=None, max_examples=200)
     @given(

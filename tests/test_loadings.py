@@ -215,6 +215,19 @@ class TestOracleWeakProjection:
         a = rng.standard_normal((6, 2))
         with pytest.raises(LoadingError, match="rank deficient"):
             oracle_weak_projection(a, a)
+        # B inside span(A) at any scale: B* is rounding noise of B's size
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((40, 3))
+            m = rng.standard_normal((3, 3)) * 10.0 ** rng.integers(-3, 4)
+            with pytest.raises(LoadingError, match="B_padded is rank deficient"):
+                oracle_weak_projection(a, a @ m)
+
+    def test_rank_deficient_a_error(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((8, 1))
+        with pytest.raises(LoadingError, match="A_true is rank deficient"):
+            oracle_weak_projection(np.hstack([a, 2.0 * a]), rng.standard_normal((8, 2)))
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(8)
@@ -230,6 +243,9 @@ class TestOracleWeakProjection:
         a = 3.0 * rng.standard_normal((8, 2))
         b = rng.standard_normal((8, 2))
         proj = oracle_weak_projection(a, b)
+        np.testing.assert_array_equal(proj, proj.T)
+        # the rank check scales with B: a tiny B spans the same space
+        np.testing.assert_allclose(oracle_weak_projection(a, 1e-9 * b), proj, atol=1e-12)
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
         assert abs(np.trace(proj) - 2) < 1e-8
 

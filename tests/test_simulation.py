@@ -44,6 +44,33 @@ class TestScenarioSpec:
         with pytest.raises(SimulationError):
             ScenarioSpec(r0=0)
 
+    @pytest.mark.parametrize("field, bounds, message", [
+        ("ar_range", (0.5, 1.5), "ar_range must lie in [0, 1), got 0.5, 1.5"),
+        ("ar_range", (1.0, 1.0), "ar_range must lie in [0, 1), got 1.0, 1.0"),
+        ("ar_range", (-0.2, 0.5), "ar_range must be nonnegative, got -0.2, 0.5"),
+        ("ma_range", (-0.5, 0.5), "ma_range must be nonnegative, got -0.5, 0.5"),
+        ("factor_sd_range", (2.0, -1.0),
+         "factor_sd_range must be finite with low <= high, got 2.0, -1.0"),
+        ("loading_range", (float("nan"), 1.0),
+         "loading_range must be finite with low <= high, got nan, 1.0"),
+        ("ma_range", (0.4, float("inf")),
+         "ma_range must be finite with low <= high, got 0.4, inf"),
+    ])
+    def test_invalid_ranges_rejected(self, field, bounds, message):
+        with pytest.raises(SimulationError) as info:
+            ScenarioSpec(**{field: bounds})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, bounds", [
+        ("loading_range", (0.0, 0.0)),
+        ("loading_range", (-2.0, -1.0)),
+        ("factor_sd_range", (1.0, 1.0)),
+        ("ar_range", (0.0, 0.999)),
+        ("ma_range", (0.0, 3.0)),
+    ])
+    def test_degenerate_but_valid_ranges_accepted(self, field, bounds):
+        assert getattr(ScenarioSpec(**{field: bounds}), field) == bounds
+
     def test_config_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(

@@ -23,14 +23,10 @@ from factorclust import (
     select_factor_counts,
     single_matrix_ratio_baseline,
 )
-from factorclust.factor_count import (
-    FactorCountError,
-    _local_maxima,
-    _ratios_from_weighted_sums,
-)
+from factorclust.factor_count import FactorCountError
 from factorclust.panel import lag_autocov_sequence
 
-from oracles import jacobi_eigh, pooled_oracle
+from oracles import jacobi_eigh, local_maxima_oracle, pooled_oracle, ratios_oracle
 
 P, N = 30, 12
 
@@ -71,12 +67,8 @@ def p_space_report(panel, k0, J0):
     stack = lag_autocov_sequence(panel, k0)
     eigs = np.array([np.linalg.svd(s, compute_uv=False) ** 2 for s in stack])
     weights = 1.0 - np.arange(k0 + 1) / panel.n
-    ratios, truncated = _ratios_from_weighted_sums(weights @ eigs, J0)
-    return FactorCountReport(
-        ratios=ratios, truncated=truncated,
-        local_max_indices=_local_maxima(ratios, truncated),
-        J0=J0, k0=k0, n=panel.n, per_lag_eigenvalues=eigs,
-    )
+    ratios, _ = ratios_oracle(weights @ eigs, J0)
+    return FactorCountReport(ratios=ratios, k0=k0, n=panel.n, per_lag_eigenvalues=eigs)
 
 
 class TestRatiosAgainstPSpace:
@@ -105,9 +97,9 @@ class TestRatiosAgainstPSpace:
         panel = wide_panel(2)
         report = single_matrix_ratio_baseline(panel, k0=3, J0=P)
         eigvals = np.clip(np.linalg.eigvalsh(pooled_oracle(panel.values, 3))[::-1], 0, None)
-        ratios, truncated = _ratios_from_weighted_sums(eigvals, P)
+        ratios, truncated = ratios_oracle(eigvals, P)
         np.testing.assert_array_equal(report.truncated, truncated)
-        assert report.local_max_indices == _local_maxima(ratios, truncated)
+        assert report.local_max_indices == local_maxima_oracle(ratios, truncated)
         assert np.all(report.per_lag_eigenvalues[0, N:] == 0.0)
         keep = ~truncated
         np.testing.assert_allclose(report.ratios[keep], ratios[keep], rtol=1e-10)
