@@ -8,66 +8,7 @@ loading-correlation similarity matrix.  A Monte Carlo harness replicates
 the whole procedure on synthetic panels with known truth.
 """
 
-from .clustering import (
-    ClusteringError,
-    ClusteringResult,
-    KMeansResult,
-    cluster_pipeline,
-    cluster_upper_bound,
-    detect_no_cluster,
-    elbow_select,
-    kmeans,
-    label_distribution,
-    omega_threshold,
-    similarity_matrix,
-    wcss_curve,
-)
-from .evaluation import (
-    DetectionErrors,
-    EvaluationError,
-    SummaryTable,
-    aggregate_records,
-    detection_errors,
-    misclassification_count,
-    projection_distance,
-)
-from .factor_count import (
-    FactorCountError,
-    FactorCountReport,
-    cumulative_ratio_sequence,
-    select_factor_counts,
-    single_matrix_ratio_baseline,
-)
-from .loadings import (
-    LoadingError,
-    LoadingMatrix,
-    estimate_strong_loadings,
-    estimate_weak_loadings,
-    oracle_weak_projection,
-    projection,
-    save_loadings_csv,
-)
-from .panel import (
-    PanelError,
-    TimeSeriesPanel,
-    load_labels,
-    load_panel,
-)
-from .simulation import (
-    Example1Population,
-    MonteCarloConfig,
-    MonteCarloResult,
-    ScenarioSpec,
-    ScenarioTruth,
-    SimulationError,
-    generate_example1,
-    generate_scenario,
-    read_scenario_config,
-    replication_record,
-    run_monte_carlo,
-    scenario_i,
-    scenario_ii,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -95,3 +36,19 @@ __all__ = [
     "generate_scenario", "generate_example1",
     "run_monte_carlo", "replication_record", "read_scenario_config",
 ]
+
+# the stage modules, which import numpy; they are imported at the first
+# lookup of a name they export, so ``--version`` and ``--help`` import none
+_MODULES = ("panel", "factor_count", "loadings", "clustering", "evaluation",
+            "simulation")
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        for module_name in _MODULES:
+            module = importlib.import_module(f".{module_name}", __name__)
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+

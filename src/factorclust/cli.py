@@ -28,34 +28,47 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .clustering import ClusteringError, cluster_pipeline
-from .evaluation import EvaluationError
-from .factor_count import (
-    FactorCountError,
-    cumulative_ratio_sequence,
-    select_factor_counts,
-)
-from .loadings import LoadingError, save_loadings_csv
-from .panel import PanelError, load_labels, load_panel
-from .simulation import (
-    MonteCarloConfig,
-    SimulationError,
-    generate_example1,
-    read_scenario_config,
-    run_monte_carlo,
-    scenario_i,
-    scenario_ii,
-)
 
 __all__ = ["main", "build_parser"]
+
+# the stage functions and errors the commands use, by module.  The stage
+# modules import numpy, which ``--version`` and ``--help`` do not need, so
+# ``_bind_stages`` binds these names here only once a command runs, or at
+# their first lookup from outside (``__getattr__``).
+_STAGE_NAMES = {
+    "clustering": ("ClusteringError", "cluster_pipeline"),
+    "evaluation": ("EvaluationError",),
+    "factor_count": ("FactorCountError", "cumulative_ratio_sequence",
+                     "select_factor_counts"),
+    "loadings": ("LoadingError", "save_loadings_csv"),
+    "panel": ("PanelError", "load_labels", "load_panel"),
+    "simulation": ("MonteCarloConfig", "SimulationError", "generate_example1",
+                   "read_scenario_config", "run_monte_carlo", "scenario_i",
+                   "scenario_ii"),
+}
+
+
+def _bind_stages() -> None:
+    """Bind every name of ``_STAGE_NAMES`` here; a name already bound (say,
+    replaced from outside) is kept."""
+    for module_name, names in _STAGE_NAMES.items():
+        module = importlib.import_module(f".{module_name}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _STAGE_NAMES.values()):
+        _bind_stages()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CliError(Exception):
@@ -262,6 +275,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_example1(args: argparse.Namespace) -> int:
+    import numpy as np
+
     rows = []
     for p in args.p:
         _, pop = generate_example1(
@@ -376,25 +391,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ERROR_CODES = {
-    PanelError: "INPUT_FORMAT",
-    FactorCountError: "FACTOR_COUNT",
-    LoadingError: "LOADINGS",
-    ClusteringError: "CLUSTERING",
-    EvaluationError: "EVALUATION",
-    SimulationError: "CONFIG",
-}
+def _error_code(exc: ValueError) -> str | None:
+    """The ``E_<CODE>`` of a stage's error; None for any other ``ValueError``."""
+    codes = {
+        PanelError: "INPUT_FORMAT",
+        FactorCountError: "FACTOR_COUNT",
+        LoadingError: "LOADINGS",
+        ClusteringError: "CLUSTERING",
+        EvaluationError: "EVALUATION",
+        SimulationError: "CONFIG",
+    }
+    return next((code for cls, code in codes.items() if isinstance(exc, cls)), None)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _bind_stages()  # --version and --help have exited by now
         return args.func(args)
     except CliError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except tuple(_ERROR_CODES) as exc:
-        code = next(c for cls, c in _ERROR_CODES.items() if isinstance(exc, cls))
+    except ValueError as exc:
+        code = _error_code(exc)
+        if code is None:
+            raise
         print(f"E_{code}: {args.command}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

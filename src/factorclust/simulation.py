@@ -16,8 +16,8 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .evaluation import (
 )
 from .factor_count import (
     FactorCountError,
+    FactorCountReport,
     cumulative_ratio_sequence,
     select_factor_counts,
     single_matrix_ratio_baseline,
@@ -49,6 +50,9 @@ from .loadings import (
     projection,
 )
 from .panel import LagStack, TimeSeriesPanel, lag_stack, pooled_matrix_from_covs
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 __all__ = [
     "SimulationError",
@@ -173,14 +177,20 @@ def _draw_coefficients(rng: np.random.Generator, count: int,
 
 def _ar1_paths(rng: np.random.Generator, phi: np.ndarray, sds: np.ndarray,
                n: int) -> np.ndarray:
-    """Unit-variance AR(1) paths scaled by sds; stationary start."""
-    k = len(phi)
-    innov = rng.standard_normal((k, n))
-    w = np.empty((k, n))
-    w[:, 0] = innov[:, 0]
+    """Unit-variance AR(1) paths scaled by sds; stationary start.
+
+    The recursion runs in Python floats, one series at a time: the same
+    IEEE operations as one numpy step per time point, bit for bit, without
+    the per-step array overhead.
+    """
+    innov = rng.standard_normal((len(phi), n))
     scale = np.sqrt(1.0 - phi**2)
-    for t in range(1, n):
-        w[:, t] = phi * w[:, t - 1] + scale * innov[:, t]
+    w = np.empty_like(innov)
+    for i, (ph, sc) in enumerate(zip(phi.tolist(), scale.tolist())):
+        path = innov[i].tolist()
+        for t in range(1, n):
+            path[t] = ph * path[t - 1] + sc * path[t]
+        w[i] = path
     return sds[:, None] * w
 
 
@@ -221,11 +231,14 @@ def generate_scenario(spec: ScenarioSpec) -> tuple[TimeSeriesPanel, ScenarioTrut
     z_sds = rng.uniform(*spec.factor_sd_range, size=r)
     z = _ma1_paths(rng, theta, z_sds, n)
 
-    values = a_mat @ x + b_padded @ z
+    # summed in place, term by term in the order of A x + B z + e_t + c e_{t-1}
+    values = a_mat @ x
+    values += b_padded @ z
     if spec.noise_innovation_var > 0:
         noise_theta = _draw_coefficients(rng, p, spec.ma_range)
         eta = rng.normal(0.0, math.sqrt(spec.noise_innovation_var), size=(p, n + 1))
-        values = values + eta[:, 1:] + noise_theta[:, None] * eta[:, :-1]
+        values += eta[:, 1:]
+        values += noise_theta[:, None] * eta[:, :-1]
 
     permutation = None
     if spec.shuffle:
@@ -443,66 +456,48 @@ def _cpu_count() -> int:
 
 
 def _helper_thread(spec: ScenarioSpec, config: MonteCarloConfig, workers: int) -> bool:
-    """Whether ``run_monte_carlo`` runs each ratio report on a helper thread.
+    """Whether ``run_monte_carlo`` draws each replication's stage 1 ahead
+    on a helper thread.
 
-    Only where there is a known-counts branch to run beside it, the
-    report's stacked SVD releases the GIL, and every worker has a CPU
-    for its helper besides its own.
+    Only in a serial run, where the process may run on a second CPU, and
+    where the ratio report's stacked SVD releases the GIL.
     """
     return (
-        config.known_counts
+        workers == 1
         and (config.k0 + 1) * min(spec.p, spec.n) > GIL_FREE_STACK_ROWS
-        and _cpu_count() >= 2 * workers
+        and _cpu_count() >= 2
     )
 
 
-def _settled(fn):
-    """Call ``fn`` now; return a callable that gives its value or raises
-    its exception again."""
-    try:
-        value = fn()
-    except Exception as exc:  # noqa: BLE001 - raised again when called
-        error = exc
-
-        def settled():
-            raise error
-    else:
-        def settled():
-            return value
-    return settled
+def _draw(
+    spec: ScenarioSpec, config: MonteCarloConfig
+) -> tuple[ScenarioTruth, LagStack, FactorCountReport]:
+    """Stage 1 of a replication: its panel's truth, lag stack and ratio
+    report.  The panel itself is freed once the stack is built."""
+    panel, truth = generate_scenario(spec)
+    stack = lag_stack(panel, config.k0)
+    del panel
+    return truth, stack, cumulative_ratio_sequence(stack, k0=config.k0, J0=config.J0)
 
 
 def replication_record(
-    spec: ScenarioSpec, config: MonteCarloConfig, *, helper: bool = False
+    spec: ScenarioSpec, config: MonteCarloConfig, *, drawn: Future | None = None
 ) -> dict:
     """All metrics of one replication (factor counts plus both branches).
 
-    With ``helper``, the ratio report runs on a helper thread beside the
-    known-counts branch; its stacked SVD runs without the GIL once
-    (k0 + 1) * min(p, n) > ``GIL_FREE_STACK_ROWS`` (see
-    ``cumulative_ratio_sequence``), and ``run_monte_carlo`` sets it only
-    then.  The helper is joined, also on an error, before the counts are
-    selected.  The record, and the first failure raised, are those of the
-    stages run one after another: ratio report, count selection,
-    baseline, known-counts branch, estimated branch.
+    A replication runs in two stages.  Stage 1 (``_draw``) generates the
+    panel, builds its lag stack and the ratio report.  Stage 2 selects the
+    counts and runs the baseline, the known-counts branch and the
+    estimated branch, in that order.  ``drawn`` is stage 1 of this
+    replication already submitted elsewhere (``run_monte_carlo`` runs it
+    on a helper thread); its result, or the exception it raised, stands in
+    for running stage 1 here, so the record and the first failure raised
+    are the same either way.
     """
-    panel, truth = generate_scenario(spec)
+    truth, stack, report = _draw(spec, config) if drawn is None else drawn.result()
     r0_true, r_true = truth.intended_counts
     out: dict = {}
 
-    stack = lag_stack(panel, config.k0)
-    known = partial(_evaluate_branch, stack, truth, r0_true, r_true, config, spec.seed)
-    if helper and config.known_counts:
-        # imported here: only a run with a helper needs it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(1, thread_name_prefix="factorclust-helper") as pool:
-            ratio = pool.submit(cumulative_ratio_sequence, stack, k0=config.k0,
-                                J0=config.J0)
-            known = _settled(known)
-        report = ratio.result()
-    else:
-        report = cumulative_ratio_sequence(stack, k0=config.k0, J0=config.J0)
     selection: tuple[int, int] | None = None
     try:
         r0_hat, r_hat = select_factor_counts(report)
@@ -525,10 +520,12 @@ def replication_record(
             out["baseline_total_correct"] = False
 
     if config.known_counts:
-        out.update(known())
+        out.update(
+            _evaluate_branch(stack, truth, r0_true, r_true, config, spec.seed)
+        )
     if config.estimated_counts and selection is not None:
         r0_hat, r_hat = selection
-        m = min(panel.p, panel.n)
+        m = min(stack.p, stack.n)
         if 1 <= r0_hat < m and 1 <= r_hat < m - r0_hat:
             out.update(
                 _evaluate_branch(
@@ -544,12 +541,34 @@ def _replication_seed(master_seed: int, rep: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _worker(args: tuple[ScenarioSpec, MonteCarloConfig, int, bool]):
-    spec, config, rep, helper = args
+def _worker(task: tuple[ScenarioSpec, MonteCarloConfig, int],
+            drawn: Future | None = None):
+    spec, config, rep = task
     try:
-        return rep, replication_record(spec, config, helper=helper), None
+        return rep, replication_record(spec, config, drawn=drawn), None
     except Exception as exc:  # noqa: BLE001 - recorded, never dropped silently
         return rep, None, f"{type(exc).__name__}: {exc}"
+
+
+def _pipelined(tasks: list) -> list:
+    """``_worker`` over ``tasks`` in order, with stage 1 of each replication
+    drawn on one helper thread while the caller runs stage 2 of the one
+    before.  The helper is joined before this returns or raises."""
+    # imported here: only a pipelined run needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1, thread_name_prefix="factorclust-helper")
+    try:
+        ahead = pool.submit(_draw, *tasks[0][:2])
+        raw = []
+        for i, task in enumerate(tasks):
+            drawn = ahead
+            if i + 1 < len(tasks):
+                ahead = pool.submit(_draw, *tasks[i + 1][:2])
+            raw.append(_worker(task, drawn))
+        return raw
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_monte_carlo(
@@ -566,11 +585,13 @@ def run_monte_carlo(
 
     Every replication runs on one BLAS thread, serially or in a pool of
     ``min(jobs, reps)`` workers, so the result does not depend on the
-    OpenBLAS thread count either.  Each replication also runs its ratio
-    report on a helper thread beside its known-counts branch
-    (``replication_record``) where the process may run on two CPUs per
-    worker and (k0 + 1) * min(p, n) > ``GIL_FREE_STACK_ROWS``; the helper
-    is joined before the replication returns.  The workers are forked
+    OpenBLAS thread count either.  A serial run where the process may run
+    on two CPUs pipelines its replications: one helper thread draws stage
+    1 of replication i + 1 (``replication_record``) while the caller runs
+    stage 2 of replication i, once (k0 + 1) * min(p, n) >
+    ``GIL_FREE_STACK_ROWS``.  Each replication's record and failure are
+    the same as inline, and the helper is joined before this returns.
+    Pool workers run each replication inline.  The workers are forked
     whatever the default start method, so they inherit the setting and
     leave no helper process behind.
     The setting is process-wide while the replications run, and the
@@ -580,9 +601,8 @@ def run_monte_carlo(
         raise SimulationError(f"reps must be at least 1, got {reps}")
     config = config or MonteCarloConfig()
     workers = min(jobs, reps)
-    helper = _helper_thread(spec, config, workers)
     tasks = [
-        (replace(spec, seed=_replication_seed(spec.seed, rep)), config, rep, helper)
+        (replace(spec, seed=_replication_seed(spec.seed, rep)), config, rep)
         for rep in range(reps)
     ]
     with _one_blas_thread():
@@ -594,8 +614,10 @@ def run_monte_carlo(
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
                 raw = list(pool.map(_worker, tasks))
+        elif _helper_thread(spec, config, workers):
+            raw = _pipelined(tasks)
         else:
-            raw = [_worker(t) for t in tasks]
+            raw = [_worker(task) for task in tasks]
     raw.sort(key=lambda item: item[0])
     records = [rec for _, rec, err in raw if err is None]
     failures = [(rep, err) for rep, _, err in raw if err is not None]

@@ -47,6 +47,51 @@ def pooled_oracle(values: np.ndarray, k0: int) -> np.ndarray:
     return (total + total.T) / 2.0
 
 
+def ar1_paths_oracle(rng: np.random.Generator, phi: np.ndarray, sds: np.ndarray,
+                     n: int) -> np.ndarray:
+    """``simulation._ar1_paths`` as one numpy step over all series per
+    time point, from the same draws."""
+    k = len(phi)
+    innov = rng.standard_normal((k, n))
+    w = np.empty((k, n))
+    w[:, 0] = innov[:, 0]
+    scale = np.sqrt(1.0 - phi**2)
+    for t in range(1, n):
+        w[:, t] = phi * w[:, t - 1] + scale * innov[:, t]
+    return sds[:, None] * w
+
+
+def scenario_values_oracle(spec) -> np.ndarray:
+    """The panel values of ``generate_scenario(spec)``: the same draws in
+    the same order, the AR(1) paths by ``ar1_paths_oracle`` and the terms
+    summed out of place."""
+    from factorclust.simulation import _draw_coefficients, _ma1_paths
+
+    rng = np.random.default_rng(spec.seed)
+    p, n, r0, r = spec.p, spec.n, spec.r0, spec.r
+    lo, hi = spec.loading_range
+    a_mat = rng.uniform(lo, hi, size=(p, r0))
+    b_padded = np.zeros((p, r))
+    for j in range(spec.d):
+        rows = slice(j * spec.p1, (j + 1) * spec.p1)
+        cols = slice(j * spec.r_per_cluster, (j + 1) * spec.r_per_cluster)
+        b_padded[rows, cols] = rng.uniform(lo, hi, size=(spec.p1, spec.r_per_cluster))
+    phi = _draw_coefficients(rng, r0, spec.ar_range)
+    x_sds = rng.uniform(*spec.factor_sd_range, size=r0)
+    x = ar1_paths_oracle(rng, phi, x_sds, n)
+    theta = _draw_coefficients(rng, r, spec.ma_range)
+    z_sds = rng.uniform(*spec.factor_sd_range, size=r)
+    z = _ma1_paths(rng, theta, z_sds, n)
+    values = a_mat @ x + b_padded @ z
+    if spec.noise_innovation_var > 0:
+        noise_theta = _draw_coefficients(rng, p, spec.ma_range)
+        eta = rng.normal(0.0, math.sqrt(spec.noise_innovation_var), size=(p, n + 1))
+        values = values + eta[:, 1:] + noise_theta[:, None] * eta[:, :-1]
+    if spec.shuffle:
+        values = values[rng.permutation(p)]
+    return values
+
+
 def per_lag_spectra_oracle(covs: np.ndarray, p: int) -> np.ndarray:
     """Row k: the squared singular values of S(k), from one SVD per lag,
     zero-padded to p entries."""

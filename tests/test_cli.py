@@ -151,7 +151,8 @@ class TestClusterCommand:
     @pytest.mark.parametrize("spec", [
         ScenarioSpec(n=300, d=3, p1=20, p_extra=10, seed=5),    # 70 x 300
         ScenarioSpec(n=120, d=3, p1=60, p_extra=40, seed=5),    # 220 x 120
-    ], ids=["p<=n", "p>n"])
+        ScenarioSpec(n=1259, d=9, p1=45, p_extra=72, seed=5),  # 477 x 1259
+    ], ids=["p<=n", "p>n", "real-data"])
     def test_decisions_independent_of_blas_threads(self, tmp_path, spec):
         # the per-lag SVDs (and for p > n the thin QR) run on one thread at
         # either setting; the lag products and eigh follow OPENBLAS_NUM_THREADS
@@ -575,6 +576,15 @@ def test_import_leaves_scipy_and_the_pool_unloaded():
     done = _python("-c", f"import sys, factorclust.cli; print({LOADED})")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+    # constant answers load no stage module, so not numpy either
+    for flag in ("--version", "--help"):
+        done = _python("-X", "importtime", "-m", "factorclust", flag)
+        assert done.returncode == 0, done.stderr
+        imported = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+                    for line in done.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "factorclust" in imported
+        assert imported.isdisjoint(("numpy",) + LATE_MODULES), flag
 
 
 def test_commands_below_the_lanczos_size_never_load_scipy(small_panel, tmp_path):

@@ -1,11 +1,15 @@
 import concurrent.futures
+import itertools
 import multiprocessing
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorclust import (
     MonteCarloConfig,
@@ -24,7 +28,7 @@ import factorclust.simulation as sim
 from factorclust.cli import main
 from factorclust.simulation import _ar1_paths, _draw_coefficients, _ma1_paths
 
-from oracles import numpy_openblas
+from oracles import ar1_paths_oracle, numpy_openblas, scenario_values_oracle
 
 
 class TestScenarioSpec:
@@ -173,6 +177,33 @@ class TestGenerateScenario:
         assert variances.max() < 0.25 * 1.9025 * 1.25
         expected_mean = 0.25 * (1.0 + (0.95**3 - 0.4**3) / (3 * 0.55))
         assert abs(variances.mean() - expected_mean) < 0.15 * expected_mean
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        phi=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=6),
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_ar_paths_equal_the_per_step_oracle(self, phi, n, seed, data):
+        phi = np.array(phi)
+        sds = np.array(data.draw(st.lists(st.floats(0.0, 3.0), min_size=len(phi),
+                                          max_size=len(phi))))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        paths = _ar1_paths(rng, phi, sds, n)
+        expected = ar1_paths_oracle(oracle_rng, phi, sds, n)
+        assert paths.tobytes() == expected.tobytes()
+        # both consumed the same draws
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize("noise", [0.25, 0.0], ids=["noise", "no-noise"])
+    @pytest.mark.parametrize("shuffle", [True, False], ids=["shuffled", "ordered"])
+    @pytest.mark.parametrize("scenario", [scenario_i, scenario_ii], ids=["I", "II"])
+    def test_panel_equals_the_oracle_assembly(self, scenario, shuffle, noise):
+        spec = replace(scenario(seed=21), shuffle=shuffle, noise_innovation_var=noise)
+        panel, _ = generate_scenario(spec)
+        expected = scenario_values_oracle(spec)
+        assert panel.values.tobytes() == expected.tobytes()
 
     def test_coefficient_law_excludes_near_zero(self):
         rng = np.random.default_rng(9)
@@ -418,9 +449,8 @@ class TestOneBlasThread:
 
 @pytest.fixture(params=[8, 1], ids=["8-cpus", "1-cpu"])
 def cpus(request, monkeypatch):
-    """Forces the CPU count that decides on ``replication_record``'s helper
-    thread: with 8 a helper runs beside each of up to 4 workers, with 1
-    never."""
+    """Forces the CPU count that decides on the helper thread: with 8 a
+    serial run draws each replication's stage 1 ahead on it, with 1 never."""
     monkeypatch.setattr(sim, "_cpu_count", lambda: request.param)
     return request.param
 
@@ -458,8 +488,16 @@ def _fail(monkeypatch, name: str, when=lambda *args: True, error=RuntimeError):
     return calls
 
 
+def _fail_call(monkeypatch, name: str, index: int, error=RuntimeError):
+    """Make only call number ``index`` (from 0) of ``sim.<name>`` fail."""
+    counter = itertools.count()
+    return _fail(monkeypatch, name, lambda *args: next(counter) == index, error)
+
+
 class TestHelperThread:
-    """The ratio report of a replication on a helper thread."""
+    """Serial replications pipelined: stage 1 of replication i + 1 (panel,
+    lag stack, ratio report) on a helper thread while the caller runs
+    stage 2 of replication i."""
 
     # (k0 + 1) * min(p, n) = 8 * 70 = 560: the stacked SVD runs without the GIL
     WIDE = ScenarioSpec(n=100, d=2, p1=30, p_extra=10, seed=12)
@@ -470,8 +508,8 @@ class TestHelperThread:
         (2, 167, 200, 1, 2, True),   # 3 * 167 = 501 rows
         (2, 200, 167, 1, 2, True),   # min(p, n) counts
         (2, 167, 200, 1, 1, False),  # no CPU for the helper
-        (2, 167, 200, 2, 3, False),  # one CPU short of two per worker
-        (2, 167, 200, 2, 4, True),
+        (2, 167, 200, 2, 3, False),  # pool workers run each replication inline
+        (2, 167, 200, 2, 4, False),  # also with two CPUs per worker
     ])
     def test_when_it_runs(self, monkeypatch, k0, p, n, workers, cpus, expected):
         monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
@@ -479,9 +517,9 @@ class TestHelperThread:
         assert spec.p == p
         config = MonteCarloConfig(k0=k0)
         assert sim._helper_thread(spec, config, workers) is expected
-        # with no known-counts branch there is nothing to run beside it
+        # stage 1 is the same with or without a known-counts branch
         no_branch = MonteCarloConfig(k0=k0, known_counts=False, estimated_counts=True)
-        assert sim._helper_thread(spec, no_branch, workers) is False
+        assert sim._helper_thread(spec, no_branch, workers) is expected
 
     def test_serial_replications_use_it_with_a_spare_cpu(self, monkeypatch, cpus):
         names = _ratio_threads(monkeypatch)
@@ -496,19 +534,44 @@ class TestHelperThread:
         replication_record(self.WIDE, self.CONFIG)
         assert names == [threading.current_thread().name] * 3
 
-    @pytest.mark.parametrize("cpus, on_helper", [(2, False), (4, True)])
-    def test_pool_workers_use_it_with_two_cpus_each(self, monkeypatch, recording_pool,
-                                                    cpus, on_helper):
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_pool_workers_run_inline(self, monkeypatch, recording_pool, cpus):
         monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
         names = _ratio_threads(monkeypatch)
         pooled = sim.run_monte_carlo(self.WIDE, reps=2, config=self.CONFIG, jobs=2)
-        assert [_on_helper(name) for name in names] == [on_helper] * 2
-        monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
+        assert names == [threading.current_thread().name] * 2
         assert pooled.records == sim.run_monte_carlo(self.WIDE, reps=2,
                                                      config=self.CONFIG).records
 
+    def test_stage_one_drawn_one_replication_ahead(self, monkeypatch):
+        # the helper draws replication i + 1 while the caller scores i, and
+        # no further: each branch starts after at most one draw past its own
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
+        events = []
+        draw, branch = sim._draw, sim._evaluate_branch
+
+        def drawing(spec, config):
+            events.append(("draw", spec.seed))
+            return draw(spec, config)
+
+        def scoring(stack, truth, r0, r, config, seed, suffix=""):
+            events.append(("score", seed))
+            return branch(stack, truth, r0, r, config, seed, suffix)
+
+        monkeypatch.setattr(sim, "_draw", drawing)
+        monkeypatch.setattr(sim, "_evaluate_branch", scoring)
+        sim.run_monte_carlo(self.WIDE, reps=4, config=self.CONFIG)
+        seeds = [sim._replication_seed(self.WIDE.seed, rep) for rep in range(4)]
+        assert [seed for kind, seed in events if kind == "draw"] == seeds
+        assert [seed for kind, seed in events if kind == "score"] == seeds
+        for rep, seed in enumerate(seeds):
+            drawn = events[:events.index(("score", seed))].count
+            assert sum(drawn(("draw", s)) for s in seeds) <= rep + 2
+
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_no_thread_outlives_the_run(self, monkeypatch, jobs):
+    def test_no_thread_outlives_the_run(self, monkeypatch, caller_on_two_blas_threads,
+                                        jobs):
+        getter = caller_on_two_blas_threads
         monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
         before = set(threading.enumerate())
         # replication 1 fails in its branch, the others complete
@@ -518,11 +581,13 @@ class TestHelperThread:
         result = sim.run_monte_carlo(self.WIDE, reps=3, config=self.CONFIG, jobs=jobs)
         assert result.failures == [(1, "RuntimeError: _evaluate_branch failed")]
         assert set(threading.enumerate()) <= before
+        assert getter() == 2
         # every replication fails in its ratio step
         with pytest.raises(SimulationError):
             sim.run_monte_carlo(self.WIDE, reps=3, jobs=jobs,
                                 config=MonteCarloConfig(k0=7, J0=80))
         assert set(threading.enumerate()) <= before
+        assert getter() == 2
 
     def test_ratio_failure_recorded_as_before(self, cpus):
         # J0 past p = 70 fails the ratio step of every replication
@@ -532,6 +597,24 @@ class TestHelperThread:
             "all 2 replications failed; first error: FactorCountError: "
             "J0=80 exceeds the number of series p=70"
         )
+
+    @pytest.mark.parametrize("name, index", [
+        # stage 1, on the helper when pipelined
+        ("generate_scenario", 1),
+        ("lag_stack", 1),
+        ("cumulative_ratio_sequence", 1),
+        # stage 2, on the caller; two count selections per replication
+        ("select_factor_counts", 2),
+        ("single_matrix_ratio_baseline", 1),
+        ("_evaluate_branch", 1),
+    ])
+    def test_failure_lands_on_its_replication(self, monkeypatch, cpus, name, index):
+        # the call made for replication 1 fails; 0 and 2 complete as inline
+        expected = run_monte_carlo(self.WIDE, reps=3, config=self.CONFIG).records
+        _fail_call(monkeypatch, name, index)
+        result = sim.run_monte_carlo(self.WIDE, reps=3, config=self.CONFIG)
+        assert result.failures == [(1, f"RuntimeError: {name} failed")]
+        assert result.records == [expected[0], expected[2]]
 
     @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
     @pytest.mark.parametrize("failing, first", [
@@ -543,8 +626,14 @@ class TestHelperThread:
     def test_first_failure_in_stage_order(self, monkeypatch, helper, failing, first):
         for name in failing:
             _fail(monkeypatch, name)
-        rep, record, error = sim._worker((self.WIDE, self.CONFIG, 0, helper))
-        assert (rep, record, error) == (0, None, f"RuntimeError: {first} failed")
+        task = (self.WIDE, self.CONFIG, 0)
+        if helper:
+            with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                drawn = pool.submit(sim._draw, self.WIDE, self.CONFIG)
+                outcome = sim._worker(task, drawn)
+        else:
+            outcome = sim._worker(task)
+        assert outcome == (0, None, f"RuntimeError: {first} failed")
 
     def test_inline_ratio_failure_skips_the_branch(self, monkeypatch):
         _fail(monkeypatch, "cumulative_ratio_sequence")
@@ -553,20 +642,39 @@ class TestHelperThread:
             replication_record(self.WIDE, self.CONFIG)
         assert branch == []
 
-    def test_interrupt_in_the_branch_is_not_held(self, monkeypatch):
-        # raised at once, ahead of the ratio report's failure, with the
-        # helper joined (the autouse thread check)
-        _fail(monkeypatch, "cumulative_ratio_sequence")
-        _fail(monkeypatch, "_evaluate_branch", error=KeyboardInterrupt)
-        baseline = _fail(monkeypatch, "single_matrix_ratio_baseline", lambda *args: False)
-        with pytest.raises(KeyboardInterrupt, match="_evaluate_branch failed"):
-            replication_record(self.WIDE, self.CONFIG, helper=True)
-        assert baseline == []
+    def _interrupted_run(self, monkeypatch, name: str) -> list:
+        """Run with call 0 of ``sim.<name>`` raising ``KeyboardInterrupt``;
+        returns the calls of ``generate_scenario`` made."""
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
+        _fail_call(monkeypatch, name, 0, error=KeyboardInterrupt)
+        draws = _fail(monkeypatch, "generate_scenario", lambda *args: False)
+        with pytest.raises(KeyboardInterrupt, match=f"{name} failed"):
+            sim.run_monte_carlo(self.WIDE, reps=5, config=self.CONFIG)
+        return draws
+
+    def test_interrupt_in_the_branch_is_not_held(self, monkeypatch,
+                                                 caller_on_two_blas_threads):
+        # raised out of the run at once, with the helper joined, no draw
+        # started past the one ahead, and the BLAS count restored
+        before = set(threading.enumerate())
+        draws = self._interrupted_run(monkeypatch, "_evaluate_branch")
+        assert set(threading.enumerate()) <= before
+        assert len(draws) <= 2
+        assert caller_on_two_blas_threads() == 2
+
+    def test_interrupt_in_stage_one_is_not_held(self, monkeypatch,
+                                               caller_on_two_blas_threads):
+        # raised on the helper, carried by the replication's future
+        before = set(threading.enumerate())
+        draws = self._interrupted_run(monkeypatch, "cumulative_ratio_sequence")
+        assert set(threading.enumerate()) <= before
+        assert len(draws) <= 2
+        assert caller_on_two_blas_threads() == 2
 
     def test_concurrent_runs_share_the_blas_setting(self, monkeypatch,
                                                     caller_on_two_blas_threads):
         # more Python threads than cores, switching often: three runs, each
-        # with its helpers, enter and leave one-thread bodies at once
+        # with its helper, enter and leave one-thread bodies at once
         getter = caller_on_two_blas_threads
         monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
         names = _ratio_threads(monkeypatch)
