@@ -569,9 +569,7 @@ class TestHelperThread:
             assert sum(drawn(("draw", s)) for s in seeds) <= rep + 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_no_thread_outlives_the_run(self, monkeypatch, caller_on_two_blas_threads,
-                                        jobs):
-        getter = caller_on_two_blas_threads
+    def test_no_thread_outlives_the_run(self, monkeypatch, jobs):
         monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
         before = set(threading.enumerate())
         # replication 1 fails in its branch, the others complete
@@ -581,13 +579,11 @@ class TestHelperThread:
         result = sim.run_monte_carlo(self.WIDE, reps=3, config=self.CONFIG, jobs=jobs)
         assert result.failures == [(1, "RuntimeError: _evaluate_branch failed")]
         assert set(threading.enumerate()) <= before
-        assert getter() == 2
         # every replication fails in its ratio step
         with pytest.raises(SimulationError):
             sim.run_monte_carlo(self.WIDE, reps=3, jobs=jobs,
                                 config=MonteCarloConfig(k0=7, J0=80))
         assert set(threading.enumerate()) <= before
-        assert getter() == 2
 
     def test_ratio_failure_recorded_as_before(self, cpus):
         # J0 past p = 70 fails the ratio step of every replication
@@ -652,24 +648,38 @@ class TestHelperThread:
             sim.run_monte_carlo(self.WIDE, reps=5, config=self.CONFIG)
         return draws
 
-    def test_interrupt_in_the_branch_is_not_held(self, monkeypatch,
-                                                 caller_on_two_blas_threads):
-        # raised out of the run at once, with the helper joined, no draw
-        # started past the one ahead, and the BLAS count restored
+    def test_interrupt_in_the_branch_is_not_held(self, monkeypatch):
+        # raised out of the run at once, with the helper joined and no draw
+        # started past the one ahead
         before = set(threading.enumerate())
         draws = self._interrupted_run(monkeypatch, "_evaluate_branch")
         assert set(threading.enumerate()) <= before
         assert len(draws) <= 2
-        assert caller_on_two_blas_threads() == 2
 
-    def test_interrupt_in_stage_one_is_not_held(self, monkeypatch,
-                                               caller_on_two_blas_threads):
+    def test_interrupt_in_stage_one_is_not_held(self, monkeypatch):
         # raised on the helper, carried by the replication's future
         before = set(threading.enumerate())
         draws = self._interrupted_run(monkeypatch, "cumulative_ratio_sequence")
         assert set(threading.enumerate()) <= before
         assert len(draws) <= 2
-        assert caller_on_two_blas_threads() == 2
+
+    def test_helper_sees_one_blas_thread(self, monkeypatch, caller_on_two_blas_threads):
+        # stage 1 on the helper runs inside the run's one-thread setting,
+        # and the caller's count is back after a run and after an interrupt
+        getter = caller_on_two_blas_threads
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 8)
+        seen, draw = [], sim._draw
+
+        def drawing(spec, config):
+            seen.append((threading.current_thread().name, getter()))
+            return draw(spec, config)
+
+        monkeypatch.setattr(sim, "_draw", drawing)
+        run_monte_carlo(self.WIDE, reps=3, config=self.CONFIG)
+        assert [(_on_helper(name), count) for name, count in seen] == [(True, 1)] * 3
+        assert getter() == 2
+        self._interrupted_run(monkeypatch, "_evaluate_branch")
+        assert getter() == 2
 
     def test_concurrent_runs_share_the_blas_setting(self, monkeypatch,
                                                     caller_on_two_blas_threads):
