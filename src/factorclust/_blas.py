@@ -2,18 +2,20 @@
 
 numpy and scipy each bundle their own OpenBLAS build.  The builds are
 found in ``/proc/self/maps``: once at the first use of the controls, and
-once more at the first Lanczos call of ``clustering.cluster_upper_bound``
-(``rescan_once``).  The package imports scipy only where a run needs it,
-so the first scan may come before scipy's build is loaded; the Lanczos
-call is the one step that runs on that build, and the second scan finds
-it whoever loaded scipy.  Where ``/proc`` or the thread API is missing,
-the controls do nothing.  The thread count is process-wide, so code on
-other Python threads of the process sees the setting while a body runs.
-Bodies may overlap across Python threads: the first to enter saves the
-counts, and the last to leave restores them.  The package itself runs two
-bodies at once: a serial Monte Carlo run may draw the next replication's
-panel, lag stack and per-lag SVDs (a pinned body) on a helper thread,
-while the caller scores the current one inside the batch's body
+once more at the first call of a step that runs on scipy's build
+(``rescan_once``): the Lanczos call of ``clustering.cluster_upper_bound``
+and the reflector products of ``panel.HouseholderBasis``.  The package
+imports scipy only where a run needs it, so the first scan may come
+before scipy's build is loaded; each of those steps imports scipy and then
+rescans, so the second scan finds the build whoever loaded scipy.  Where
+``/proc`` or the thread API is missing, the controls do nothing.  The
+thread count is process-wide, so code on other Python threads of the
+process sees the setting while a body runs.  Bodies may overlap across
+Python threads: the first to enter saves the counts, and the last to
+leave restores them.  The package itself runs two bodies at once: a
+serial Monte Carlo run may draw the next replication's panel, lag stack
+and per-lag SVDs (a pinned body) on a helper thread, while the caller
+scores the current one inside the batch's body
 (``simulation.run_monte_carlo``).
 """
 

@@ -10,9 +10,11 @@ When p > n both eigenanalyses run in n dimensions: with the thin QR
 X = U R of the centered panel, S(k) = U C(k) U^T (see ``panel``), so the
 pooled matrix is U (sum_k C(k) C(k)^T) U^T and its eigenvectors are U
 times those of the n x n pool.  The strong span is projected out in the
-same space through U^T Q.  Since rank S(k) <= min(p, n - 1), only
-min(p, n) - 1 directions are identified: r0 <= m - 1 and r <= m - r0 - 1
-with m = min(p, n); larger counts raise ``LoadingError``.
+same space through U^T Q.  U is applied from its Householder reflectors
+(``panel.HouseholderBasis``) and never formed.  Since rank S(k) <=
+min(p, n - 1), only min(p, n) - 1 directions are identified: r0 <= m - 1
+and r <= m - r0 - 1 with m = min(p, n); larger counts raise
+``LoadingError``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .panel import LagStack, TimeSeriesPanel, lag_stack, pooled_matrix_from_covs
+from .panel import (
+    HouseholderBasis,
+    LagStack,
+    TimeSeriesPanel,
+    lag_stack,
+    pooled_matrix_from_covs,
+)
 from .panel import lag_autocov_sequence  # noqa: F401 - perfbench/tracer.py wraps this binding
 
 __all__ = [
@@ -81,10 +89,12 @@ def _orient_columns(vectors: np.ndarray) -> np.ndarray:
 
 
 def _top_eigenvectors(
-    sym: np.ndarray, r: int, what: str, basis: np.ndarray | None, out: np.ndarray
+    sym: np.ndarray, r: int, what: str, basis: HouseholderBasis | None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Leading r eigenvectors of a symmetric matrix, descending, lifted by
-    ``basis`` (if given) and sign-fixed, written into ``out`` and returned.
+    ``basis`` (if given), written into ``out``, sign-fixed there and
+    returned.
 
     The callers allocate ``out`` before the lag stack and wrap it after the
     stack is freed.  A result allocated while the stack's p x n blocks are
@@ -109,10 +119,7 @@ def _top_eigenvectors(
                 stacklevel=3,
             )
     vecs = eigvecs[:, :r]
-    if basis is None:
-        out[...] = vecs
-    else:
-        np.matmul(basis, vecs, out=out)
+    out[...] = vecs if basis is None else basis.lift(vecs)
     return _orient_columns(out)
 
 
@@ -165,11 +172,11 @@ def estimate_weak_loadings(
         raise LoadingError(f"r={r} outside [1, {m - strong.r - 1}]")
     vecs = np.empty((p, r))
     stack = lag_stack(panel, k0)
-    u, covs = stack.basis, stack.covs
+    basis, covs = stack.basis, stack.covs
     q = strong.matrix
     if strong.r > 0:
-        qs = q if u is None else u.T @ q
-        if u is not None and np.abs(q - u @ qs).max() > 1e-8:
+        qs = q if basis is None else basis.project(q)
+        if basis is not None and np.abs(q - basis.lift(qs)).max() > 1e-8:
             raise LoadingError(
                 "strong loading leaves the column space of the centered panel"
             )
@@ -177,8 +184,8 @@ def estimate_weak_loadings(
         covs = (s - qs @ (qs.T @ s) for s in covs)
         covs = (s - (s @ qs) @ qs.T for s in covs)
     pooled = pooled_matrix_from_covs(covs)
-    _top_eigenvectors(pooled, r, "weak loadings", u, vecs)
-    del stack, u, covs, pooled
+    _top_eigenvectors(pooled, r, "weak loadings", basis, vecs)
+    del stack, basis, covs, pooled
     if strong.r > 0:
         overlap = np.abs(q.T @ vecs).max()
         if overlap > 1e-8:

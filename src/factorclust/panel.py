@@ -24,8 +24,13 @@ are U times those of sum_k C(k) C(k)^T.  At most m - 1 = min(p, n) - 1
 loading directions are identified, so the loading estimators require
 r0 + r <= min(p, n) - 1.
 
-``lag_stack`` builds S(0..k0), or C(0..k0) and U, once per panel; every
-spectral step accepts that ``LagStack`` in place of the panel.
+U is never formed.  The QR keeps it as LAPACK's n Householder reflectors
+(``HouseholderBasis``), and the loadings apply them to their n x r and
+p x r blocks, U v and U^T q, with LAPACK's ``ormqr``; the ratio step
+reads only the C(k).
+
+``lag_stack`` builds S(0..k0), or C(0..k0) and the reflectors, once per
+panel; every spectral step accepts that ``LagStack`` in place of the panel.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import csv
 import io
 import itertools
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +47,8 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from ._blas import threads_for_dim
+from . import _blas
+from ._blas import _one_blas_thread, threads_for_dim
 
 __all__ = [
     "PanelError",
@@ -366,12 +373,65 @@ def lag_autocov_sequence(panel: TimeSeriesPanel, k0: int) -> np.ndarray:
     return stack
 
 
+class HouseholderBasis:
+    """The p x n factor U of a thin QR X = U R (p > n), held as the n
+    Householder reflectors of LAPACK's ``geqrf`` and their scalars ``tau``.
+
+    ``lift(v)`` = U v and ``project(q)`` = U^T q apply the reflectors with
+    LAPACK's ``ormqr`` (scipy's ``dormqr``), so U is never formed.  Each
+    call hands LAPACK a fresh Fortran-ordered copy of its argument, which
+    LAPACK overwrites: a single-column argument is Fortran-ordered already
+    and may be a caller's read-only buffer.  ``scipy.linalg`` is imported
+    at the first call, which then has the BLAS thread controls look for
+    scipy's OpenBLAS build (``_blas.rescan_once``).  The call runs on one
+    BLAS thread at every n, not under the QR's size rule: at 2000 x 600 the
+    products alone tie at one and two threads, but the two loading fits
+    around them took 225 ms with the products on two threads against
+    110 ms on one (2 vCPUs; the time lands on numpy's steps after the
+    call).  For small n, LAPACK's unblocked ``ormqr`` writes the diagonal
+    of the reflector array and restores it, so the calls on one basis are
+    serialized.
+    """
+
+    def __init__(self, reflectors: np.ndarray, tau: np.ndarray) -> None:
+        self.reflectors = reflectors  # (p, n), Fortran-ordered, read-only
+        self.tau = tau
+        self._lock = threading.Lock()
+
+    def lift(self, v: np.ndarray) -> np.ndarray:
+        """U v of an (n, r) array, a new (p, r) array."""
+        p, n = self.reflectors.shape
+        c = np.zeros((p, v.shape[1]), order="F")
+        c[:n] = v
+        return self._apply("N", c)
+
+    def project(self, q: np.ndarray) -> np.ndarray:
+        """U^T q of a (p, r) array, a new (n, r) array."""
+        c = np.array(q, dtype=float, order="F")
+        return self._apply("T", c)[: self.reflectors.shape[1]]
+
+    def _apply(self, trans: str, c: np.ndarray) -> np.ndarray:
+        """Q c or Q^T c for the full p x p Q of the reflectors, in place
+        in the Fortran-ordered ``c``."""
+        from scipy.linalg.lapack import dormqr
+
+        _blas.rescan_once()
+        # ormqr's optimal workspace: c's width times a block of at most 64
+        # reflectors, plus that block's 65 x 64 triangular factor
+        lwork = 64 * max(1, c.shape[1]) + 65 * 64
+        with self._lock, _one_blas_thread():
+            out, _, _ = dormqr("L", trans, self.reflectors, self.tau, c, lwork,
+                               overwrite_c=1)
+        return out
+
+
 @dataclass(frozen=True)
 class LagStack:
-    """Read-only S(0..k0) of a p x n panel, or C(0..k0) and ``basis`` U if p > n."""
+    """Read-only S(0..k0) of a p x n panel, or, if p > n, the C(0..k0) of the
+    thin QR X = U R of the centered panel and U as a ``HouseholderBasis``."""
 
     covs: np.ndarray
-    basis: np.ndarray | None
+    basis: HouseholderBasis | None
     p: int
     n: int
 
@@ -379,11 +439,15 @@ class LagStack:
 def lag_stack(panel: TimeSeriesPanel | LagStack, k0: int) -> LagStack:
     """The panel's ``LagStack`` up to lag k0; a given stack is returned as is.
 
-    When p > n the stack holds U and the C(k) of the thin QR X = U R of the
+    When p > n the stack holds the C(k) of the thin QR X = U R of the
     centered panel: the lag covariances of the n x n panel R, which
-    ``lag_autocov_sequence`` centers once more.  The QR runs on one BLAS
-    thread when n <= ``_blas.ONE_THREAD_MAX_DIM``, where that is faster;
-    the lag products keep the caller's threads.
+    ``lag_autocov_sequence`` centers once more.  U stays as the QR's
+    Householder reflectors (``np.linalg.qr`` in raw mode, LAPACK's
+    ``geqrf`` without ``orgqr``); R is their upper triangle, the R of the
+    reduced-mode QR bit for bit.  The panel is centered into Fortran order,
+    so numpy hands the reflectors back in the layout ``ormqr`` reads.  The
+    QR runs on one BLAS thread when n <= ``_blas.ONE_THREAD_MAX_DIM``,
+    where that is faster; the lag products keep the caller's threads.
 
     Raises ``PanelError`` if k0 is outside [0, n - 1] or differs from a given stack's.
     """
@@ -393,11 +457,15 @@ def lag_stack(panel: TimeSeriesPanel | LagStack, k0: int) -> LagStack:
         return panel
     if panel.p <= panel.n:
         return LagStack(lag_autocov_sequence(panel, k0), None, panel.p, panel.n)
-    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    values = panel.values
+    centered = np.subtract(values, values.mean(axis=1, keepdims=True), order="F")
     with threads_for_dim(panel.n):
-        u, r = np.linalg.qr(centered)
+        h, tau = np.linalg.qr(centered, mode="raw")
+    reflectors = h.T
+    reflectors.setflags(write=False)
+    r = np.triu(reflectors[: panel.n])
     covs = lag_autocov_sequence(TimeSeriesPanel(values=r), k0)
-    return LagStack(covs, u, panel.p, panel.n)
+    return LagStack(covs, HouseholderBasis(reflectors, tau), panel.p, panel.n)
 
 
 def pooled_matrix_from_covs(covs: Iterable[np.ndarray]) -> np.ndarray:

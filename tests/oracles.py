@@ -4,9 +4,11 @@ Everything here deliberately avoids the code paths of the package:
 covariances by explicit double loops over matrix entries, eigenpairs by
 cyclic Jacobi rotations, K-means by exhaustive enumeration of label
 vectors, Lloyd's algorithm one restart at a time, and label matching by
-trying every bijection.  Slow but unambiguous.  The OpenBLAS thread
-controls of numpy and scipy are found from each package's own install,
-not from the process's maps.
+trying every bijection.  Slow but unambiguous.  One exception is the
+package's former p > n lag stack, kept as the reference for the stack
+that holds U as Householder reflectors (``reduced_qr_stack``).  The
+OpenBLAS thread controls of numpy and scipy are found from each package's
+own install, not from the process's maps.
 """
 
 from __future__ import annotations
@@ -90,6 +92,35 @@ def scenario_values_oracle(spec) -> np.ndarray:
     if spec.shuffle:
         values = values[rng.permutation(p)]
     return values
+
+
+class MatrixBasis:
+    """A formed orthonormal U behind the ``lift``/``project`` calls of
+    ``panel.HouseholderBasis``: plain products with the matrix."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def lift(self, v: np.ndarray) -> np.ndarray:
+        return self.u @ v
+
+    def project(self, q: np.ndarray) -> np.ndarray:
+        return self.u.T @ q
+
+
+def reduced_qr_stack(panel, k0: int):
+    """The ``LagStack`` of a p > n panel with U formed: the reduced-mode QR
+    (``geqrf``, then ``orgqr``) of the C-ordered centered panel, on the
+    BLAS threads ``lag_stack`` uses.  The package's loading estimators run
+    on it as they ran when the stack held U as a matrix."""
+    from factorclust._blas import threads_for_dim
+    from factorclust.panel import LagStack, TimeSeriesPanel, lag_autocov_sequence
+
+    centered = panel.values - panel.values.mean(axis=1, keepdims=True)
+    with threads_for_dim(panel.n):
+        u, r = np.linalg.qr(centered)
+    covs = lag_autocov_sequence(TimeSeriesPanel(values=r), k0)
+    return LagStack(covs, MatrixBasis(u), panel.p, panel.n)
 
 
 def per_lag_spectra_oracle(covs: np.ndarray, p: int) -> np.ndarray:

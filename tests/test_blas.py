@@ -1,9 +1,10 @@
-"""One BLAS thread for the thin QR and the per-lag SVDs of small panels.
+"""One BLAS thread for the thin QR and the per-lag SVDs of small panels,
+and for the products with the QR's reflectors at every size.
 
 Each decomposition is observed from inside: a wrapper around the
-``numpy.linalg`` function reads numpy's OpenBLAS thread count when it is
-called.  The bound is lowered around small panels, so no test factorizes
-a matrix above the real bound.
+``numpy.linalg`` function, or scipy's ``dormqr``, reads the OpenBLAS
+thread counts when it is called.  The bound is lowered around small
+panels, so no test factorizes a matrix above the real bound.
 """
 
 import json
@@ -28,6 +29,8 @@ from factorclust import (
 )
 from factorclust.factor_count import FactorCountError
 from factorclust.panel import lag_stack
+
+from oracles import bundled_openblas
 
 K0 = 2
 
@@ -113,6 +116,71 @@ class TestSmallPanelRule:
             lag_stack(WIDE, K0)
         assert seen == [1]
         assert getter() == 2
+
+
+@pytest.fixture()
+def both_builds_on_two_threads(monkeypatch, caller_on_two_blas_threads):
+    """Getters of numpy's and scipy's OpenBLAS builds, both at 2 threads for
+    the test, with the builds looked for afresh at the first pin."""
+    import scipy.linalg.lapack  # noqa: F401 - loads scipy's build
+
+    controls = bundled_openblas("scipy")
+    if controls is None:
+        pytest.skip("scipy does not bundle a scipy-openblas build")
+    setter, getter = controls
+    before = getter()
+    setter(2)
+    monkeypatch.setattr(blas, "_builds", None)
+    monkeypatch.setattr(blas, "_rescanned", False)
+    try:
+        if getter() != 2:
+            pytest.skip("OpenBLAS cannot run two threads here")
+        yield caller_on_two_blas_threads, getter
+    finally:
+        setter(before)
+
+
+def spy_ormqr(monkeypatch, getters, fail=False):
+    """Replace scipy's ``dormqr`` by a wrapper that records the thread
+    counts of ``getters`` at each call, and raises when ``fail`` is set."""
+    import scipy.linalg.lapack
+
+    seen = []
+    original = scipy.linalg.lapack.dormqr
+
+    def wrapper(*args, **kwargs):
+        seen.append(tuple(getter() for getter in getters))
+        if fail:
+            raise RuntimeError("synthetic failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dormqr", wrapper)
+    return seen
+
+
+class TestReflectorProducts:
+    # one thread at any size: the bound is lowered below n = 12 as well
+    @pytest.mark.parametrize("bound", [12, 11])
+    def test_every_build_pinned(self, monkeypatch, both_builds_on_two_threads, bound):
+        getters = both_builds_on_two_threads
+        basis = lag_stack(WIDE, K0).basis
+        monkeypatch.setattr(blas, "ONE_THREAD_MAX_DIM", bound)
+        seen = spy_ormqr(monkeypatch, getters)
+        basis.project(basis.lift(np.eye(WIDE.n)))
+        assert seen == [(1, 1)] * 2
+        assert [getter() for getter in getters] == [2, 2]
+
+    def test_counts_restored_after_a_failure(self, monkeypatch, both_builds_on_two_threads):
+        getters = both_builds_on_two_threads
+        basis = lag_stack(WIDE, K0).basis
+        with monkeypatch.context() as patch:
+            seen = spy_ormqr(patch, getters, fail=True)
+            with pytest.raises(RuntimeError, match="synthetic failure"):
+                basis.lift(np.eye(WIDE.n))
+        assert seen == [(1, 1)]
+        assert [getter() for getter in getters] == [2, 2]
+        # the basis's lock was released
+        assert basis.lift(np.eye(WIDE.n)).shape == (WIDE.p, WIDE.n)
 
 
 def test_lookup_runs_once_per_process(monkeypatch):
@@ -279,4 +347,57 @@ def test_scipy_build_pinned_when_loaded_late(first_import):
     assert out["child_lanczos"] == pinned
     assert out["inside"] == pinned
     assert out["child_after_lanczos"] == pinned
+    assert out["after"] == {"numpy": 2, "scipy": 2}
+
+
+# Counts of numpy's and scipy's OpenBLAS builds in a fresh process at
+# OPENBLAS_NUM_THREADS=2: scipy is loaded after the QR's pin has scanned
+# for builds, and the first reflector product must still pin its build.
+LATE_SCIPY_SCRIPT = """
+import json
+
+import numpy as np
+
+from factorclust import TimeSeriesPanel
+from factorclust.panel import lag_stack
+from oracles import bundled_openblas
+
+
+def counts():
+    found = {pkg: bundled_openblas(pkg) for pkg in ("numpy", "scipy")}
+    return {pkg: None if c is None else c[1]() for pkg, c in found.items()}
+
+
+panel = TimeSeriesPanel(values=np.random.default_rng(0).standard_normal((30, 12)))
+basis = lag_stack(panel, 2).basis
+import scipy.linalg.lapack
+
+seen = []
+original = scipy.linalg.lapack.dormqr
+
+
+def spy(*args, **kwargs):
+    seen.append(counts())
+    return original(*args, **kwargs)
+
+
+scipy.linalg.lapack.dormqr = spy
+before = counts()
+basis.lift(np.eye(12))
+print(json.dumps({"before": before, "inside": seen, "after": counts()}))
+"""
+
+
+def test_scipy_build_loaded_after_the_first_scan_is_pinned():
+    src = Path(factorclust.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    done = subprocess.run([sys.executable, "-c", LATE_SCIPY_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    if out["before"]["numpy"] != 2:
+        pytest.skip("numpy's scipy-openblas build cannot run two threads here")
+    assert out["before"] == {"numpy": 2, "scipy": 2}
+    assert out["inside"] == [{"numpy": 1, "scipy": 1}]
     assert out["after"] == {"numpy": 2, "scipy": 2}

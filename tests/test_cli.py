@@ -589,7 +589,8 @@ def test_import_leaves_scipy_and_the_pool_unloaded():
 
 def test_commands_below_the_lanczos_size_never_load_scipy(small_panel, tmp_path):
     # scenario I at p1 = 25 is 150 x 400: cluster_upper_bound counts on the
-    # full spectrum there
+    # full spectrum there.  Every panel here has p <= n; on a p > n panel the
+    # loadings' reflector products (``HouseholderBasis``) load scipy.linalg
     panel, _ = generate_scenario(ScenarioSpec(n=400, d=5, p1=25, p_extra=25,
                                               r0=2, r_per_cluster=2, seed=3))
     scenario = tmp_path / "scenario.csv"

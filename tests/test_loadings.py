@@ -142,9 +142,11 @@ class TestResultBuffer:
         top = np.linalg.eigh(sym)[1][:, ::-1][:, :r]
         got = _top_eigenvectors(sym, r, "test", None, np.empty((12, r)))
         np.testing.assert_array_equal(got, oriented(top))
-        basis = np.linalg.qr(rng.standard_normal((30, 12)))[0]
+        # the lift lands in the C-ordered buffer, where the sign fix runs
+        wide = TimeSeriesPanel(values=rng.standard_normal((30, 12)))
+        basis = lag_stack(wide, 0).basis
         lifted = _top_eigenvectors(sym, r, "test", basis, np.empty((30, r)))
-        np.testing.assert_array_equal(lifted, oriented(basis @ top))
+        np.testing.assert_array_equal(lifted, oriented(basis.lift(top)))
 
     @pytest.mark.parametrize("p, n", [(6, 80), (40, 20)])
     def test_stack_freed_before_result_is_wrapped(self, monkeypatch, p, n):

@@ -537,7 +537,7 @@ class TestLagStack:
             assert stack.basis is None
             np.testing.assert_array_equal(stack.covs, full)
         else:
-            u = stack.basis
+            u = stack.basis.lift(np.eye(n))
             assert u.shape == (p, n) and stack.covs.shape == (4, n, n)
             for k in range(4):
                 np.testing.assert_allclose(
@@ -548,7 +548,7 @@ class TestLagStack:
         # p > n: S(k) = U C(k) U^T with orthonormal U and the held C(k)
         panel = random_panel(30, 12, seed=9)
         stack = lag_stack(panel, 11)
-        u = stack.basis
+        u = stack.basis.lift(np.eye(12))
         assert (stack.p, stack.n) == (30, 12)
         assert u.shape == (30, 12) and stack.covs.shape == (12, 12, 12)
         assert not stack.covs.flags.writeable
