@@ -21,8 +21,7 @@ __all__ = [
     "select_factor_counts", "single_matrix_ratio_baseline",
     # loadings
     "LoadingError", "LoadingMatrix", "estimate_strong_loadings",
-    "estimate_weak_loadings", "projection", "oracle_weak_projection",
-    "save_loadings_csv",
+    "estimate_weak_loadings", "oracle_weak_basis", "save_loadings_csv",
     # clustering
     "ClusteringError", "ClusteringResult", "KMeansResult", "omega_threshold",
     "detect_no_cluster", "cluster_upper_bound", "similarity_matrix", "kmeans",

@@ -4,6 +4,7 @@ misclassification counts, plus mean/sd aggregation across replications."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -25,24 +26,35 @@ class EvaluationError(ValueError):
     """Incompatible inputs to an evaluation metric."""
 
 
-def projection_distance(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
-    """Operator and Frobenius norms of the difference of two projections.
+def projection_distance(A: np.ndarray, B: np.ndarray) -> tuple[float, float]:
+    """Operator and Frobenius norms of A A^T - B B^T for orthonormal bases A
+    (p x a) and B (p x b), without forming either p x p projection.
 
-    The operator norm is the largest absolute eigenvalue of the symmetric
-    difference.  Both inputs must be symmetric within 1e-8.
+    The singular values of C = A^T B are the cosines of the principal angles
+    between the spans (Bjorck & Golub 1973; Golub & Van Loan, *Matrix
+    Computations*, section 6.4.3).  Hence the squared Frobenius norm is
+    a + b - 2 ||C||_F^2 = ||B - A C||_F^2 + ||A - B C^T||_F^2, and the
+    operator norm is 1 if a != b, 0 if a = b = 0, and otherwise
+    sin theta_max = ||B - A C||_2.  Both are taken from the residuals,
+    which do not cancel at small angles.  Raises ``EvaluationError``
+    unless A and B are 2-d with as many rows and orthonormal columns
+    within 1e-8.
     """
-    a = np.asarray(P, dtype=float)
-    b = np.asarray(Q, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = np.asarray(A, dtype=float)
+    b = np.asarray(B, dtype=float)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
         raise EvaluationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    for name, m in (("P", a), ("Q", b)):
-        if np.abs(m - m.T).max() > 1e-8 * max(1.0, np.abs(m).max()):
-            raise EvaluationError(f"{name} is not symmetric within 1e-8")
-    diff = a - b
-    fro = float(np.linalg.norm(diff, "fro"))
-    sym = (diff + diff.T) / 2.0
-    op = float(np.abs(np.linalg.eigvalsh(sym)).max())
-    return op, fro
+    for name, m in (("A", a), ("B", b)):
+        if np.abs(m.T @ m - np.eye(m.shape[1])).max(initial=0.0) > 1e-8:
+            raise EvaluationError(f"{name} columns are not orthonormal within 1e-8")
+    c = a.T @ b
+    resid_b = b - a @ c
+    fro = math.hypot(np.linalg.norm(resid_b), np.linalg.norm(a - b @ c.T))
+    if a.shape[1] != b.shape[1]:
+        return 1.0, fro
+    if a.shape[1] == 0:
+        return 0.0, fro
+    return float(np.linalg.norm(resid_b, 2)), fro
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Estimation of factor loading spaces from pooled autocovariance eigenvectors.
 
 Only the spans are identified, so estimates are returned as matrices with
-orthonormal columns and compared through their projection matrices.  The
+orthonormal columns and compared through their principal angles.  The
 strong loadings are the leading eigenvectors of the pooled matrix M; the
 weak loadings repeat the eigenanalysis after projecting the panel onto the
 orthocomplement of the strong span, which sharpens the weaker structure.
@@ -40,8 +40,7 @@ __all__ = [
     "LoadingMatrix",
     "estimate_strong_loadings",
     "estimate_weak_loadings",
-    "projection",
-    "oracle_weak_projection",
+    "oracle_weak_basis",
     "save_loadings_csv",
 ]
 
@@ -202,22 +201,14 @@ def estimate_weak_loadings(
     return LoadingMatrix(matrix=vecs)
 
 
-def projection(loading: LoadingMatrix) -> np.ndarray:
-    """Projection matrix Q Q^T onto the loading span (symmetric idempotent)."""
-    q = loading.matrix
-    if q.shape[1] == 0:
-        return np.zeros((q.shape[0], q.shape[0]))
-    return q @ q.T
+def oracle_weak_basis(A_true: np.ndarray, B_padded: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the population weak loading space given the
+    true loadings.
 
-
-def oracle_weak_projection(A_true: np.ndarray, B_padded: np.ndarray) -> np.ndarray:
-    """Population target of the weak projection given the true loadings.
-
-    Computes the projection onto the span of B* = (I - P_A) B_padded where
-    P_A is the projection onto the span of A_true.  Neither input needs
-    orthonormal columns: P_A comes from a thin QR of A_true, and the
-    result is Q Q^T for the Q of a thin QR of B*.  Q is read C-contiguous,
-    so numpy builds the product by syrk and it is symmetric bit for bit.
+    The basis spans B* = (I - P_A) B_padded, where P_A is the projection
+    onto the span of A_true.  Neither input needs orthonormal columns: P_A
+    comes from a thin QR of A_true, and the result is the Q of a thin QR
+    of B*.
 
     Raises
     ------
@@ -242,8 +233,7 @@ def oracle_weak_projection(A_true: np.ndarray, B_padded: np.ndarray) -> np.ndarr
             "B* = (I - P_A) B_padded is rank deficient "
             "(smallest singular value <= 1e-6 ||B_padded||_2)"
         )
-    q = np.ascontiguousarray(q)
-    return q @ q.T
+    return q
 
 
 def save_loadings_csv(loading: LoadingMatrix, path: str | Path) -> None:

@@ -46,8 +46,7 @@ from .factor_count import (
 from .loadings import (
     estimate_strong_loadings,
     estimate_weak_loadings,
-    oracle_weak_projection,
-    projection,
+    oracle_weak_basis,
 )
 from .panel import LagStack, TimeSeriesPanel, lag_stack, pooled_matrix_from_covs
 
@@ -396,20 +395,19 @@ def _evaluate_branch(
     r: int,
     config: MonteCarloConfig,
     seed: int,
+    true_bases: tuple[np.ndarray, np.ndarray],
     suffix: str = "",
 ) -> dict:
-    """Subspace, detection and clustering metrics for given factor counts."""
+    """Subspace, detection and clustering metrics for given factor counts,
+    against orthonormal bases of the true strong and weak loading spaces."""
     out: dict = {}
     strong = estimate_strong_loadings(stack, k0=config.k0, r0=r0)
     weak = estimate_weak_loadings(stack, strong, k0=config.k0, r=r)
 
-    # Q Q^T of a C-contiguous Q takes numpy's syrk path: symmetric bit for bit
-    q = np.ascontiguousarray(np.linalg.qr(truth.A)[0])
-    op, fro = projection_distance(projection(strong), q @ q.T)
+    op, fro = projection_distance(strong.matrix, true_bases[0])
     out[f"strong_err_op{suffix}"] = op
     out[f"strong_err_fro{suffix}"] = fro
-    p_weak = oracle_weak_projection(truth.A, truth.B_padded)
-    op, fro = projection_distance(projection(weak), p_weak)
+    op, fro = projection_distance(weak.matrix, true_bases[1])
     out[f"weak_err_op{suffix}"] = op
     out[f"weak_err_fro{suffix}"] = fro
 
@@ -519,19 +517,18 @@ def replication_record(
             out["baseline_r0_correct"] = False
             out["baseline_total_correct"] = False
 
-    if config.known_counts:
-        out.update(
-            _evaluate_branch(stack, truth, r0_true, r_true, config, spec.seed)
-        )
+    branches = [(r0_true, r_true, "")] if config.known_counts else []
     if config.estimated_counts and selection is not None:
         r0_hat, r_hat = selection
         m = min(stack.p, stack.n)
         if 1 <= r0_hat < m and 1 <= r_hat < m - r0_hat:
-            out.update(
-                _evaluate_branch(
-                    stack, truth, r0_hat, r_hat, config, spec.seed, suffix="_est"
-                )
-            )
+            branches.append((r0_hat, r_hat, "_est"))
+    if branches:
+        # the true spans, the same for every branch
+        true_bases = np.linalg.qr(truth.A)[0], oracle_weak_basis(truth.A, truth.B_padded)
+    for r0, r, suffix in branches:
+        out.update(_evaluate_branch(stack, truth, r0, r, config, spec.seed,
+                                    true_bases=true_bases, suffix=suffix))
     return out
 
 

@@ -4,11 +4,13 @@ Everything here deliberately avoids the code paths of the package:
 covariances by explicit double loops over matrix entries, eigenpairs by
 cyclic Jacobi rotations, K-means by exhaustive enumeration of label
 vectors, Lloyd's algorithm one restart at a time, and label matching by
-trying every bijection.  Slow but unambiguous.  One exception is the
-package's former p > n lag stack, kept as the reference for the stack
-that holds U as Householder reflectors (``reduced_qr_stack``).  The
-OpenBLAS thread controls of numpy and scipy are found from each package's
-own install, not from the process's maps.
+trying every bijection.  Slow but unambiguous.  Two exceptions are the
+package's former code, kept as references: the p > n lag stack, for the
+stack that holds U as Householder reflectors (``reduced_qr_stack``), and
+the p x p projections (``projection``, ``projection_distance_oracle``),
+for the distance that ``evaluation.projection_distance`` takes from p x r
+bases.  The OpenBLAS thread controls of numpy and scipy are found from
+each package's own install, not from the process's maps.
 """
 
 from __future__ import annotations
@@ -121,6 +123,24 @@ def reduced_qr_stack(panel, k0: int):
         u, r = np.linalg.qr(centered)
     covs = lag_autocov_sequence(TimeSeriesPanel(values=r), k0)
     return LagStack(covs, MatrixBasis(u), panel.p, panel.n)
+
+
+def projection(loading) -> np.ndarray:
+    """Projection matrix Q Q^T onto the span of a ``LoadingMatrix``."""
+    q = loading.matrix
+    if q.shape[1] == 0:
+        return np.zeros((q.shape[0], q.shape[0]))
+    return q @ q.T
+
+
+def projection_distance_oracle(P: np.ndarray, Q: np.ndarray) -> tuple[float, float]:
+    """Operator and Frobenius norms of P - Q for two p x p projections: the
+    largest absolute eigenvalue of the symmetrized difference, and the
+    entry-wise norm."""
+    diff = P - Q
+    fro = float(np.linalg.norm(diff, "fro"))
+    op = float(np.abs(np.linalg.eigvalsh((diff + diff.T) / 2.0)).max())
+    return op, fro
 
 
 def per_lag_spectra_oracle(covs: np.ndarray, p: int) -> np.ndarray:

@@ -23,7 +23,6 @@ from factorclust import (
     generate_scenario,
     kmeans,
     misclassification_count,
-    projection,
     run_monte_carlo,
     scenario_i,
     scenario_ii,
@@ -37,6 +36,7 @@ from oracles import (
     lag_autocov_oracle,
     misclassification_oracle,
     pooled_oracle,
+    projection,
     similarity_oracle,
 )
 

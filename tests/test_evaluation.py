@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from factorclust import (
 from oracles import frobenius_oracle, misclassification_oracle
 
 
-def random_projection(p, r, seed):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, r)))
-    return q @ q.T
+def random_basis(p, r, seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((p, r)))[0]
 
 
 class TestProjectionDistance:
@@ -25,35 +25,32 @@ class TestProjectionDistance:
         rng = np.random.default_rng(0)
         q1, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         rot = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-        q2 = q1 @ rot
-        op, fro = projection_distance(q1 @ q1.T, q2 @ q2.T)
+        op, fro = projection_distance(q1, q1 @ rot)
         assert op < 1e-10 and fro < 1e-10
 
     def test_orthogonal_lines_analytic(self):
-        p1 = np.diag([1.0, 0.0])
-        p2 = np.diag([0.0, 1.0])
-        op, fro = projection_distance(p1, p2)
+        op, fro = projection_distance(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
         assert op == pytest.approx(1.0, rel=1e-12)
         assert fro == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_frobenius_matches_entrywise_oracle(self):
-        a = random_projection(6, 2, seed=1)
-        b = random_projection(6, 3, seed=2)
+        a = random_basis(6, 2, seed=1)
+        b = random_basis(6, 3, seed=2)
         _, fro = projection_distance(a, b)
-        assert fro == pytest.approx(frobenius_oracle(a - b), abs=1e-12)
+        assert fro == pytest.approx(frobenius_oracle(a @ a.T - b @ b.T), abs=1e-12)
 
     def test_operator_leq_frobenius(self):
         for seed in range(10):
-            a = random_projection(7, 2, seed=seed)
-            b = random_projection(7, 2, seed=seed + 100)
+            a = random_basis(7, 2, seed=seed)
+            b = random_basis(7, 2, seed=seed + 100)
             op, fro = projection_distance(a, b)
             assert op <= fro + 1e-12
 
     def test_triangle_inequality(self):
         for seed in range(15):
-            a = random_projection(5, 2, seed=seed)
-            b = random_projection(5, 2, seed=seed + 50)
-            c = random_projection(5, 1, seed=seed + 100)
+            a = random_basis(5, 2, seed=seed)
+            b = random_basis(5, 2, seed=seed + 50)
+            c = random_basis(5, 1, seed=seed + 100)
             for idx in (0, 1):
                 ab = projection_distance(a, b)[idx]
                 ac = projection_distance(a, c)[idx]
@@ -62,12 +59,31 @@ class TestProjectionDistance:
 
     def test_shape_mismatch(self):
         with pytest.raises(EvaluationError, match="shape"):
-            projection_distance(np.eye(3), np.eye(4))
+            projection_distance(random_basis(3, 2, seed=0), random_basis(4, 2, seed=1))
+        with pytest.raises(EvaluationError, match="shape"):
+            projection_distance(np.ones(3) / np.sqrt(3.0), random_basis(3, 1, seed=0))
 
-    def test_asymmetric_rejected(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(EvaluationError, match="symmetric"):
-            projection_distance(bad, np.eye(2))
+    def test_non_orthonormal_rejected(self):
+        good = random_basis(6, 2, seed=3)
+        sheared = good.copy()
+        sheared[:, 1] += 1e-6 * good[:, 0]
+        for bad in (1.001 * good, sheared, np.ones((6, 1))):
+            with pytest.raises(EvaluationError, match="B columns are not orthonormal"):
+                projection_distance(good, bad)
+            with pytest.raises(EvaluationError, match="A columns are not orthonormal"):
+                projection_distance(bad, good)
+
+    def test_no_p_by_p_array(self):
+        # one p x p float64 array would be 3.2 GB; the bases are 0.8 MB each
+        a = random_basis(20_000, 5, seed=4)
+        b = random_basis(20_000, 5, seed=5)
+        tracemalloc.start()
+        try:
+            projection_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestDetectionErrors:

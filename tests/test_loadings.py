@@ -9,14 +9,14 @@ from factorclust import (
     TimeSeriesPanel,
     estimate_strong_loadings,
     estimate_weak_loadings,
-    oracle_weak_projection,
-    projection,
+    oracle_weak_basis,
+    projection_distance,
 )
 from factorclust import loadings
 from factorclust.loadings import _orient_columns, _top_eigenvectors
 from factorclust.panel import lag_autocov_sequence, lag_stack, pooled_matrix_from_covs
 
-from oracles import jacobi_eigh, residualize_oracle
+from oracles import jacobi_eigh, projection, residualize_oracle
 
 
 def noisy_factor_panel(p, n, r0, r, seed, noise=0.1, strong_scale=4.0):
@@ -209,47 +209,48 @@ class TestOracleWeakProjection:
         rng = np.random.default_rng(6)
         basis, _ = np.linalg.qr(rng.standard_normal((9, 4)))
         a, b = basis[:, :2], basis[:, 2:4]
-        got = oracle_weak_projection(a, b)
-        np.testing.assert_allclose(got, b @ b.T, atol=1e-12)
+        got = oracle_weak_basis(a, b)
+        np.testing.assert_allclose(got @ got.T, b @ b.T, atol=1e-12)
 
     def test_degenerate_equal_spans_error(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 2))
         with pytest.raises(LoadingError, match="rank deficient"):
-            oracle_weak_projection(a, a)
+            oracle_weak_basis(a, a)
         # B inside span(A) at any scale: B* is rounding noise of B's size
         for seed in range(20):
             rng = np.random.default_rng(seed)
             a = rng.standard_normal((40, 3))
             m = rng.standard_normal((3, 3)) * 10.0 ** rng.integers(-3, 4)
             with pytest.raises(LoadingError, match="B_padded is rank deficient"):
-                oracle_weak_projection(a, a @ m)
+                oracle_weak_basis(a, a @ m)
 
     def test_rank_deficient_a_error(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((8, 1))
         with pytest.raises(LoadingError, match="A_true is rank deficient"):
-            oracle_weak_projection(np.hstack([a, 2.0 * a]), rng.standard_normal((8, 2)))
+            oracle_weak_basis(np.hstack([a, 2.0 * a]), rng.standard_normal((8, 2)))
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((8, 1))
         b = rng.standard_normal((8, 2))
-        got = oracle_weak_projection(a, b)
+        got = oracle_weak_basis(a, b)
         b_star = b - a @ np.linalg.lstsq(a, b, rcond=None)[0]
         want = b_star @ np.linalg.pinv(b_star)
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        np.testing.assert_allclose(got @ got.T, want, atol=1e-9)
 
     def test_non_orthonormal_a_allowed(self):
         rng = np.random.default_rng(9)
         a = 3.0 * rng.standard_normal((8, 2))
         b = rng.standard_normal((8, 2))
-        proj = oracle_weak_projection(a, b)
-        np.testing.assert_array_equal(proj, proj.T)
+        basis = oracle_weak_basis(a, b)
+        assert basis.shape == (8, 2)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+        assert np.abs(a.T @ basis).max() < 1e-12
         # the rank check scales with B: a tiny B spans the same space
-        np.testing.assert_allclose(oracle_weak_projection(a, 1e-9 * b), proj, atol=1e-12)
-        np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
-        assert abs(np.trace(proj) - 2) < 1e-8
+        tiny = oracle_weak_basis(a, 1e-9 * b)
+        assert max(projection_distance(tiny, basis)) < 1e-12
 
 
 class TestSubspaceConsistency:

@@ -6,15 +6,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from factorclust import (
+    LoadingMatrix,
     TimeSeriesPanel,
     detect_no_cluster,
     detection_errors,
     misclassification_count,
+    projection_distance,
     similarity_matrix,
 )
 from factorclust.panel import lag_autocov_sequence, lag_stack, pooled_matrix_from_covs
 
-from oracles import lag_autocov_oracle, misclassification_oracle
+from oracles import (
+    lag_autocov_oracle,
+    misclassification_oracle,
+    projection,
+    projection_distance_oracle,
+)
 
 settings.register_profile("numeric", deadline=None, max_examples=40)
 settings.load_profile("numeric")
@@ -107,3 +114,40 @@ def test_detection_errors_identity(seed, p):
     j = set(rng.choice(p, size=size, replace=False).tolist())
     errs = detection_errors(j, j, p=p)
     assert errs.e1 == 0.0 and errs.e2 == 0.0
+
+
+def _basis(m: np.ndarray) -> np.ndarray:
+    return np.linalg.qr(m)[0]
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    p=st.integers(1, 12),
+    a=st.integers(0, 12),
+    b=st.integers(0, 12),
+    near=st.booleans(),
+)
+@example(seed=0, p=6, a=0, b=0, near=False)
+@example(seed=1, p=6, a=0, b=3, near=False)
+@example(seed=2, p=6, a=2, b=3, near=False)
+@example(seed=3, p=9, a=3, b=3, near=True)  # principal angles of about 1e-6
+def test_projection_distance_matches_p_by_p_reference(seed, p, a, b, near):
+    rng = np.random.default_rng(seed)
+    a = min(a, p)
+    A = _basis(rng.standard_normal((p, a)))
+    if near:
+        b = a
+        B = _basis(A + 1e-6 * rng.standard_normal((p, a)))
+    else:
+        b = min(b, p)
+        B = _basis(rng.standard_normal((p, b)))
+    got = projection_distance(A, B)
+    want = projection_distance_oracle(
+        projection(LoadingMatrix(A)), projection(LoadingMatrix(B))
+    )
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # only the spans count: right-rotating either basis changes nothing
+    rotated_A = projection_distance(A @ _basis(rng.standard_normal((a, a))), B)
+    rotated_B = projection_distance(A, B @ _basis(rng.standard_normal((b, b))))
+    np.testing.assert_allclose(rotated_A, got, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rotated_B, got, rtol=0, atol=1e-12)

@@ -554,9 +554,9 @@ class TestHelperThread:
             events.append(("draw", spec.seed))
             return draw(spec, config)
 
-        def scoring(stack, truth, r0, r, config, seed, suffix=""):
+        def scoring(stack, truth, r0, r, config, seed, **kwargs):
             events.append(("score", seed))
-            return branch(stack, truth, r0, r, config, seed, suffix)
+            return branch(stack, truth, r0, r, config, seed, **kwargs)
 
         monkeypatch.setattr(sim, "_draw", drawing)
         monkeypatch.setattr(sim, "_evaluate_branch", scoring)

@@ -13,20 +13,28 @@ from factorclust import (
     FactorCountReport,
     LoadingError,
     LoadingMatrix,
+    MonteCarloConfig,
     ScenarioSpec,
     TimeSeriesPanel,
     cumulative_ratio_sequence,
     estimate_strong_loadings,
     estimate_weak_loadings,
     generate_scenario,
-    projection,
+    run_monte_carlo,
     select_factor_counts,
     single_matrix_ratio_baseline,
 )
+from factorclust import simulation as sim
 from factorclust.factor_count import FactorCountError
 from factorclust.panel import lag_autocov_sequence
 
-from oracles import jacobi_eigh, local_maxima_oracle, pooled_oracle, ratios_oracle
+from oracles import (
+    jacobi_eigh,
+    local_maxima_oracle,
+    pooled_oracle,
+    projection,
+    ratios_oracle,
+)
 
 P, N = 30, 12
 
@@ -57,9 +65,9 @@ def selection_or_error(report):
         return str(exc)
 
 
-def top_projection(sym, r):
+def top_basis(sym, r):
     _, vecs = jacobi_eigh(sym)
-    return vecs[:, :r] @ vecs[:, :r].T
+    return LoadingMatrix(vecs[:, :r])
 
 
 def p_space_report(panel, k0, J0):
@@ -127,12 +135,12 @@ class TestLoadingsAgainstOracle:
         strong = estimate_strong_loadings(panel, k0=k0, r0=r0)
         weak = estimate_weak_loadings(panel, strong, k0=k0, r=r)
 
-        want_strong = top_projection(pooled_oracle(panel.values, k0), r0)
-        np.testing.assert_allclose(projection(strong), want_strong, atol=1e-10)
+        want_strong = top_basis(pooled_oracle(panel.values, k0), r0)
+        np.testing.assert_allclose(projection(strong), projection(want_strong), atol=1e-10)
         q = strong.matrix
         projected = panel.values - q @ (q.T @ panel.values)
-        want_weak = top_projection(pooled_oracle(projected, k0), r)
-        np.testing.assert_allclose(projection(weak), want_weak, atol=1e-10)
+        want_weak = top_basis(pooled_oracle(projected, k0), r)
+        np.testing.assert_allclose(projection(weak), projection(want_weak), atol=1e-10)
 
         np.testing.assert_allclose(q.T @ q, np.eye(r0), atol=1e-12)
         np.testing.assert_allclose(weak.matrix.T @ weak.matrix, np.eye(r), atol=1e-12)
@@ -196,3 +204,39 @@ class TestEdgeCases:
         q, _ = np.linalg.qr(rng.standard_normal((P, 2)))
         with pytest.raises(LoadingError, match="column space"):
             estimate_weak_loadings(panel, LoadingMatrix(q), k0=2, r=3)
+
+
+class TestMonteCarloOnWidePanel:
+    """``run_monte_carlo`` on a p > n spec, 220 series over 120 periods.
+
+    Its replications run the paths that exist for wide panels: the lag
+    stack held as Householder reflectors, the rank-bounded default J0 and
+    the Lanczos ``d_hat`` (LANCZOS_P_PER_K * k = 160 <= p).  Each bound is
+    the worst rate of ten 20-replication runs at master seeds 0-9, rounded
+    outward at two significant digits; this test runs seed 0.
+    """
+
+    SPEC = ScenarioSpec(n=120, d=3, p1=40, p_extra=100, seed=0)
+    CONFIG = MonteCarloConfig(known_counts=True, estimated_counts=True)
+
+    def test_rates_and_identical_records_on_every_path(self, monkeypatch):
+        runs = {}
+        for name, cpus in (("pipelined", 2), ("inline", 1)):
+            monkeypatch.setattr(sim, "_cpu_count", lambda cpus=cpus: cpus)
+            assert sim._helper_thread(self.SPEC, self.CONFIG, 1) is (cpus == 2)
+            runs[name] = run_monte_carlo(self.SPEC, reps=20, config=self.CONFIG)
+        runs["jobs=2"] = run_monte_carlo(self.SPEC, reps=20, config=self.CONFIG, jobs=2)
+        result = runs["inline"]
+        assert runs["pipelined"].records == result.records
+        assert runs["jobs=2"].records == result.records
+        assert result.failures == []
+
+        rates = {name: mean for name, mean, _, _ in result.table.rows}
+        assert rates["r0_correct"] >= 0.5
+        assert rates["total_correct"] >= 0.8
+        assert rates["d_hat_correct"] == 1.0
+        assert rates["d_hat_correct_est"] >= 0.95
+        assert rates["e1_omega_p2"] <= 0.048 and rates["e2_omega_p2"] <= 0.042
+        assert rates["e1_omega_p2_est"] <= 0.057 and rates["e2_omega_p2_est"] <= 0.23
+        assert rates["tau_rate"] <= 0.016
+        assert rates["tau_rate_est"] <= 0.17
