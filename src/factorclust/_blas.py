@@ -1,5 +1,11 @@
 """Process-wide OpenBLAS thread control.
 
+Two kinds of step run on one thread: the thin QR and the per-lag SVDs of
+a panel with min(p, n) <= ``ONE_THREAD_MAX_DIM`` (``threads_for_dim``),
+and every Monte Carlo replication (``simulation.run_monte_carlo``).  All
+other products, the reflector products of the wide-panel loadings among
+them, keep the caller's threads.
+
 numpy and scipy each bundle their own OpenBLAS build.  The builds are
 found in ``/proc/self/maps``: once at the first use of the controls, and
 once more (``rescan_once``) at the first Lanczos call of
@@ -31,9 +37,11 @@ from contextlib import contextmanager, nullcontext
 # 477 x 477 167 against 154 ms; the SVDs tie at m = 600-700, and from
 # m = 800 two threads are 14-25% ahead on them (the QR from m = 1000).
 # The bound comes from these timings of the two steps alone
-# (BENCH_15.json, "crossover"); no end-to-end benchmark workload has
-# m > 512, so the benchmark has not checked it, nor has any host with
-# more cores.
+# (BENCH_15.json, "crossover").  End to end, on a 1000 x 1000 panel,
+# pinning them at every size made cluster_pipeline 3.45-3.69 s against
+# 2.81-3.15 s with this bound (BENCH_29.json, "bound_1000x1000"), so the
+# size rule stays; no benchmark workload has m > 512, and no host with
+# more cores has checked it.
 ONE_THREAD_MAX_DIM = 512
 
 # (setter, getter) pairs of the OpenBLAS thread API, in the order tried

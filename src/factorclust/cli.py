@@ -13,10 +13,10 @@ line ``E_<CODE>: <detail>: <message>`` on stderr and exit 1; a malformed
 command line is one ``E_USAGE`` line, not argparse's usage text.  The
 parser checks every bound, so each fails before any file is read and the
 first wrong option is the one reported: ``--k0 >= 0``, ``--j0 >= 2``,
-``--r0 >= 0``, ``--r >= 1``, ``--d >= 1``, ``--restarts``, ``--reps`` and
-``--jobs >= 1``, ``--omega`` p1, p2, p3 or a finite positive number,
-``example1 --p`` comma-separated integers and ``example1 --delta`` a
-finite positive number.  The commands check the
+``--r0 >= 0``, ``--r >= 1``, ``--d >= 1``, ``--restarts``, ``--reps``,
+``--jobs`` and ``--p1 >= 1``, ``--omega`` p1, p2, p3 or a finite positive
+number, ``example1 --p`` comma-separated integers, ``example1 --n >= 2``
+and ``example1 --delta`` a finite positive number.  The commands check the
 ``--r0``/``--r`` pairing, and ``--config`` or else ``--scenario`` (with
 ``--p1`` only beside ``--scenario``), before any file is read, and
 ``--k0 < n`` once n is known.  All tables are written
@@ -31,7 +31,6 @@ import csv
 import importlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -250,6 +249,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("USAGE", "simulate", "give --config FILE or --scenario I|II")
     _check_k0(args.k0, spec.n)
     if args.seed is not None:
+        # imported here: ``dataclasses`` is about half the CLI's import time
+        from dataclasses import replace
+
         spec = replace(spec, seed=args.seed)
     config = MonteCarloConfig(
         k0=args.k0,
@@ -358,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", help="flat key=value scenario file")
     ps.add_argument("--scenario", choices=["I", "II"],
                     help="built-in scenario instead of --config")
-    ps.add_argument("--p1", type=int,
-                    help="cluster size for --scenario (default 25)")
+    _add_bounded(ps, "--p1", 1, "the cluster size must be at least 1",
+                 help="cluster size for --scenario (default 25)")
     _add_bounded(ps, "--reps", 1, "need at least one replication", default=100)
     ps.add_argument("--seed", type=int, default=None,
                     help="master seed (overrides the config seed)")
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--a1", type=float, default=0.8)
     pe.add_argument("--a2", type=float, default=-0.5)
     pe.add_argument("--a3", type=float, default=0.6)
-    pe.add_argument("--n", type=int, default=200)
+    _add_bounded(pe, "--n", 2, "need at least 2 time points", default=200)
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--out", default=".")
     pe.set_defaults(func=_cmd_example1)

@@ -214,17 +214,14 @@ def cumulative_ratio_sequence(
     """
     p, n = panel.p, panel.n
     J0 = _checked_j0(J0, p, n)
-    # allocated before the lag stack, which is freed before the report is
-    # built (see loadings._top_eigenvectors)
-    eigs = np.zeros((k0 + 1, p))
     covs = lag_stack(panel, k0).covs
     with threads_for_dim(min(p, n)):
         try:
             singular = np.linalg.svd(covs, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise _failing_lag(covs) from exc
-    del covs
     # singular values of S(k), squared == eigenvalues of S(k) S(k)^T
+    eigs = np.zeros((k0 + 1, p))
     np.square(singular, out=eigs[:, : singular.shape[1]])
     weights = 1.0 - np.arange(k0 + 1) / n
     return FactorCountReport(_ratios(weights @ eigs, J0), k0, n, eigs, "cumulative")

@@ -88,19 +88,10 @@ def _orient_columns(vectors: np.ndarray) -> np.ndarray:
 
 
 def _top_eigenvectors(
-    sym: np.ndarray, r: int, what: str, basis: HouseholderBasis | None,
-    out: np.ndarray,
+    sym: np.ndarray, r: int, what: str, basis: HouseholderBasis | None
 ) -> np.ndarray:
     """Leading r eigenvectors of a symmetric matrix, descending, lifted by
-    ``basis`` (if given), written into ``out``, sign-fixed there and
-    returned.
-
-    The callers allocate ``out`` before the lag stack and wrap it after the
-    stack is freed.  A result allocated while the stack's p x n blocks are
-    live can land above them in the heap and keep the allocator from
-    returning their pages, and whether it does varies from process to
-    process.
-    """
+    ``basis`` (if given) and sign-fixed, as a new C-ordered array."""
     try:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -118,8 +109,9 @@ def _top_eigenvectors(
                 stacklevel=3,
             )
     vecs = eigvecs[:, :r]
-    out[...] = vecs if basis is None else basis.lift(vecs)
-    return _orient_columns(out)
+    return _orient_columns(
+        np.ascontiguousarray(vecs if basis is None else basis.lift(vecs))
+    )
 
 
 def estimate_strong_loadings(
@@ -137,11 +129,9 @@ def estimate_strong_loadings(
     m = min(panel.p, panel.n)
     if not 1 <= r0 < m:
         raise LoadingError(f"r0={r0} outside [1, {m - 1}]")
-    vecs = np.empty((panel.p, r0))
     stack = lag_stack(panel, k0)
     pooled = pooled_matrix_from_covs(stack.covs)
-    _top_eigenvectors(pooled, r0, "strong loadings", stack.basis, vecs)
-    del stack, pooled
+    vecs = _top_eigenvectors(pooled, r0, "strong loadings", stack.basis)
     return LoadingMatrix(matrix=vecs)
 
 
@@ -169,7 +159,6 @@ def estimate_weak_loadings(
     m = min(p, panel.n)
     if not 1 <= r < m - strong.r:
         raise LoadingError(f"r={r} outside [1, {m - strong.r - 1}]")
-    vecs = np.empty((p, r))
     stack = lag_stack(panel, k0)
     basis, covs = stack.basis, stack.covs
     q = strong.matrix
@@ -183,8 +172,7 @@ def estimate_weak_loadings(
         covs = (s - qs @ (qs.T @ s) for s in covs)
         covs = (s - (s @ qs) @ qs.T for s in covs)
     pooled = pooled_matrix_from_covs(covs)
-    _top_eigenvectors(pooled, r, "weak loadings", basis, vecs)
-    del stack, basis, covs, pooled
+    vecs = _top_eigenvectors(pooled, r, "weak loadings", basis)
     if strong.r > 0:
         overlap = np.abs(q.T @ vecs).max()
         if overlap > 1e-8:

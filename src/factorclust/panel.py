@@ -25,8 +25,9 @@ loading directions are identified, so the loading estimators require
 r0 + r <= min(p, n) - 1.
 
 U is never formed: the loadings apply the QR's n Householder reflectors
-(``HouseholderBasis``) to their n x r and p x r blocks, U v and U^T q,
-and the ratio step reads only the C(k).
+(``HouseholderBasis``) to their n x r and p x r blocks, U v and U^T q, by
+numpy GEMMs on the caller's BLAS threads, and the ratio step reads only
+the C(k).
 
 ``lag_stack`` builds S(0..k0), or C(0..k0) and the reflectors, once per
 panel; every spectral step accepts that ``LagStack`` in place of the panel.
@@ -46,7 +47,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from ._blas import _one_blas_thread, threads_for_dim
+from ._blas import threads_for_dim
 
 __all__ = [
     "PanelError",
@@ -384,8 +385,8 @@ class HouseholderBasis:
     (Joffrain et al. 2006); a tau of 0 counts as a zero column of V.  The
     first product builds each block (s, e, top, below, T) of reflectors
     s..e-1: V's unit lower diagonal block as a copy, its rows from e on as
-    a view, and T.  The products run on one BLAS thread at every n, which
-    halved the loading fits around them at 2000 x 600 (``BENCH_25.json``).
+    a view, and T.  The products are numpy GEMMs on the caller's BLAS
+    threads, like every other product of the loadings.
     """
 
     def __init__(self, reflectors: np.ndarray, tau: np.ndarray) -> None:
@@ -418,11 +419,10 @@ class HouseholderBasis:
 
     def _apply(self, c: np.ndarray, transpose: bool) -> np.ndarray:
         """Q c, or Q^T c, for the full p x p Q of the reflectors, in place."""
-        with _one_blas_thread():
-            for s, e, top, below, t in self._blocks[:: 1 if transpose else -1]:
-                w = (t.T if transpose else t) @ (top.T @ c[s:e] + below.T @ c[e:])
-                c[s:e] -= top @ w
-                c[e:] -= below @ w
+        for s, e, top, below, t in self._blocks[:: 1 if transpose else -1]:
+            w = (t.T if transpose else t) @ (top.T @ c[s:e] + below.T @ c[e:])
+            c[s:e] -= top @ w
+            c[e:] -= below @ w
         return c
 
 
@@ -448,7 +448,8 @@ def lag_stack(panel: TimeSeriesPanel | LagStack, k0: int) -> LagStack:
     reduced-mode QR bit for bit.  The panel is centered into Fortran order,
     so numpy hands the reflectors back Fortran-ordered, each one contiguous.
     The QR runs on one BLAS thread when n <= ``_blas.ONE_THREAD_MAX_DIM``,
-    where that is faster; the lag products keep the caller's threads.
+    where that is faster; the lag products and the reflector products keep
+    the caller's threads.
 
     Raises ``PanelError`` if k0 is outside [0, n - 1] or differs from a given stack's.
     """

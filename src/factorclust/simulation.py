@@ -615,7 +615,6 @@ def run_monte_carlo(
             raw = _pipelined(tasks)
         else:
             raw = [_worker(task) for task in tasks]
-    raw.sort(key=lambda item: item[0])
     records = [rec for _, rec, err in raw if err is None]
     failures = [(rep, err) for rep, _, err in raw if err is not None]
     if not records:

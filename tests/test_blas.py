@@ -1,5 +1,6 @@
-"""One BLAS thread for the thin QR and the per-lag SVDs of small panels,
-and for the products with the QR's reflectors at every size.
+"""One BLAS thread for the thin QR and the per-lag SVDs of small panels;
+the caller's threads for the lag products, the loadings' eigenvectors
+and the products with the QR's reflectors.
 
 Each step is observed from inside: a wrapper around the ``numpy.linalg``
 function, or around the matrix products of the reflector blocks, reads
@@ -58,6 +59,22 @@ def spy(monkeypatch, name, getter, fail=False):
     return seen
 
 
+def spy_products(getter, blocks):
+    """Views of a basis's blocks whose matrix products record the thread
+    count at each call, and the list they record into."""
+    seen = []
+
+    class Spy(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                seen.append(getter())
+            inputs = [np.asarray(x) for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    spied = [(s, e, *(a.view(Spy) for a in arrays)) for s, e, *arrays in blocks]
+    return spied, seen
+
+
 # m = 12 at the bound runs on one thread, one above it on the caller's two
 AT_AND_ABOVE = pytest.mark.parametrize("bound, threads", [(12, 1), (11, 2)])
 
@@ -91,10 +108,12 @@ class TestSmallPanelRule:
             self, monkeypatch, caller_on_two_blas_threads):
         getter = caller_on_two_blas_threads
         stack = lag_stack(WIDE, K0)
+        stack.basis._blocks, products = spy_products(getter, stack.basis._blocks)
         seen = spy(monkeypatch, "eigh", getter)
         strong = estimate_strong_loadings(stack, k0=K0, r0=1)
         estimate_weak_loadings(stack, strong, k0=K0, r=2)
         assert seen and set(seen) == {2}
+        assert products and set(products) == {2}
 
     def test_count_restored_after_svd_failure(self, monkeypatch,
                                               caller_on_two_blas_threads):
@@ -114,55 +133,6 @@ class TestSmallPanelRule:
             lag_stack(WIDE, K0)
         assert seen == [1]
         assert getter() == 2
-
-
-def spy_products(getter, blocks, fail=False):
-    """Views of a basis's blocks whose matrix products record the thread
-    count at each call, and raise when ``fail`` is set; and the list they
-    record into."""
-    seen = []
-
-    class Spy(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul:
-                seen.append(getter())
-                if fail:
-                    raise RuntimeError("synthetic failure")
-            inputs = [np.asarray(x) for x in inputs]
-            return getattr(ufunc, method)(*inputs, **kwargs)
-
-    spied = [(s, e, *(a.view(Spy) for a in arrays)) for s, e, *arrays in blocks]
-    return spied, seen
-
-
-class TestReflectorProducts:
-    # one thread at any size: the bound is lowered below n = 12 as well
-    @pytest.mark.parametrize("bound", [12, 11])
-    def test_every_build_pinned(self, monkeypatch, caller_on_two_blas_threads, bound):
-        getter = caller_on_two_blas_threads
-        basis = lag_stack(WIDE, K0).basis
-        monkeypatch.setattr(blas, "ONE_THREAD_MAX_DIM", bound)
-        # the blocks are built at the first product, inside its pin
-        built = spy(monkeypatch, "inv", getter)
-        basis.lift(np.eye(WIDE.n))
-        assert built == [1]
-        basis._blocks, seen = spy_products(getter, basis._blocks)
-        basis.project(basis.lift(np.eye(WIDE.n)))
-        # five products per block and call, one block at n = 12
-        assert seen == [1] * 10
-        assert getter() == 2
-
-    def test_counts_restored_after_a_failure(self, caller_on_two_blas_threads):
-        getter = caller_on_two_blas_threads
-        basis = lag_stack(WIDE, K0).basis
-        blocks = basis._blocks
-        basis._blocks, seen = spy_products(getter, blocks, fail=True)
-        with pytest.raises(RuntimeError, match="synthetic failure"):
-            basis.lift(np.eye(WIDE.n))
-        assert seen == [1]
-        assert getter() == 2
-        basis._blocks = blocks
-        assert basis.lift(np.eye(WIDE.n)).shape == (WIDE.p, WIDE.n)
 
 
 def test_lookup_runs_once_per_process(monkeypatch):

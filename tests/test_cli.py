@@ -155,7 +155,8 @@ class TestClusterCommand:
     ], ids=["p<=n", "p>n", "real-data"])
     def test_decisions_independent_of_blas_threads(self, tmp_path, spec):
         # the per-lag SVDs (and for p > n the thin QR) run on one thread at
-        # either setting; the lag products and eigh follow OPENBLAS_NUM_THREADS
+        # either setting; the lag products, eigh and (for p > n) the
+        # reflector products follow OPENBLAS_NUM_THREADS
         path = tmp_path / "panel.csv"
         write_panel_csv(path, generate_scenario(spec)[0])
         runs = []
@@ -471,6 +472,16 @@ class TestExample1Command:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("E_USAGE: --p abc:")
 
+    def test_too_few_time_points_usage_error(self, tmp_path, capsys):
+        # a size of 2 is generated, and fails, only after the checks
+        out = tmp_path / "out"
+        code = main(["example1", "--p", "2", "--n", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "E_USAGE: --n 1: need at least 2 time points"
+        ]
+        assert not out.exists()
+
     def test_no_output_directory_on_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["example1", "--p", "50,2", "--out", str(out)])
@@ -484,11 +495,11 @@ class TestExample1Command:
 # bound and one far below it
 BOUNDED = {"--k0": ("-1", "-50"), "--j0": ("1", "-2"), "--r0": ("-1", "-9"),
            "--r": ("0", "-1"), "--d": ("0", "-3"), "--restarts": ("0", "-20"),
-           "--reps": ("0", "-1"), "--jobs": ("0", "-4")}
+           "--reps": ("0", "-1"), "--jobs": ("0", "-4"), "--p1": ("0", "-5")}
 BOUNDED_BY_COMMAND = {
     "cluster": ("--k0", "--j0", "--r0", "--r", "--d", "--restarts"),
     "factor-count": ("--k0", "--j0"),
-    "simulate": ("--k0", "--j0", "--reps", "--jobs"),
+    "simulate": ("--k0", "--j0", "--reps", "--jobs", "--p1"),
 }
 
 
@@ -576,7 +587,9 @@ def test_import_leaves_scipy_and_the_pool_unloaded():
     done = _python("-c", f"import sys, factorclust.cli; print({LOADED})")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
-    # constant answers load no stage module, so not numpy either
+    # constant answers load no stage module, so not numpy either, nor
+    # ``dataclasses``, which only ``simulate --seed`` needs
+    unloaded = ("numpy", "dataclasses", "inspect") + LATE_MODULES
     for flag in ("--version", "--help"):
         done = _python("-X", "importtime", "-m", "factorclust", flag)
         assert done.returncode == 0, done.stderr
@@ -584,7 +597,7 @@ def test_import_leaves_scipy_and_the_pool_unloaded():
                     for line in done.stderr.splitlines()
                     if line.startswith("import time:")}
         assert "factorclust" in imported
-        assert imported.isdisjoint(("numpy",) + LATE_MODULES), flag
+        assert imported.isdisjoint(unloaded), flag
 
 
 def test_commands_below_the_lanczos_size_never_load_scipy(small_panel, tmp_path):

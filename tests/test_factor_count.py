@@ -1,6 +1,5 @@
 import dataclasses
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -145,29 +144,6 @@ class TestRatioSequence:
     def test_j0_exceeds_p(self):
         with pytest.raises(FactorCountError, match="J0"):
             cumulative_ratio_sequence(rank_one_panel(p=5), k0=1, J0=6)
-
-    @pytest.mark.parametrize("p, n", [(12, 50), (60, 30)])
-    def test_stack_freed_before_report_is_built(self, monkeypatch, p, n):
-        refs = []
-
-        def recording_lag_stack(panel, k0):
-            stack = lag_stack(panel, k0)
-            refs.append(weakref.ref(stack.covs))
-            return stack
-
-        live_at_report = []
-        ratios = factor_count._ratios
-
-        def recording_ratios(*args):
-            live_at_report.append(refs[0]() is not None)
-            return ratios(*args)
-
-        monkeypatch.setattr(factor_count, "lag_stack", recording_lag_stack)
-        monkeypatch.setattr(factor_count, "_ratios", recording_ratios)
-        rng = np.random.default_rng(4)
-        panel = TimeSeriesPanel(values=rng.standard_normal((p, n)))
-        factor_count.cumulative_ratio_sequence(panel, k0=3, J0=8)
-        assert live_at_report == [False]
 
 
 class TestStackedSpectra:

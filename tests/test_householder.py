@@ -124,8 +124,8 @@ class TestLiftAndProject:
 
     def test_calls_on_one_basis_from_several_threads(self):
         # the threads race on the basis's first product, which builds its
-        # blocks, and then share them, each under its own BLAS pin; every
-        # call must return the product of a lone call on a twin basis
+        # blocks, and then share them; every call must return the product
+        # of a lone call on a twin basis
         stack = lag_stack(factor_panel(2000, 24, 1, 2, seed=2), 0)
         basis = HouseholderBasis(stack.basis.reflectors, stack.basis.tau)
         v = np.random.default_rng(2).standard_normal((24, 64))

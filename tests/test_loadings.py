@@ -1,4 +1,3 @@
-import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from factorclust import (
     oracle_weak_basis,
     projection_distance,
 )
-from factorclust import loadings
 from factorclust.loadings import _orient_columns, _top_eigenvectors
 from factorclust.panel import lag_autocov_sequence, lag_stack, pooled_matrix_from_covs
 
@@ -140,38 +138,15 @@ class TestResultBuffer:
         a = rng.standard_normal((12, 12))
         sym = a + a.T
         top = np.linalg.eigh(sym)[1][:, ::-1][:, :r]
-        got = _top_eigenvectors(sym, r, "test", None, np.empty((12, r)))
+        got = _top_eigenvectors(sym, r, "test", None)
+        assert got.flags.c_contiguous
         np.testing.assert_array_equal(got, oriented(top))
-        # the lift lands in the C-ordered buffer, where the sign fix runs
+        # the lift is C-ordered too, and the sign fix runs on it
         wide = TimeSeriesPanel(values=rng.standard_normal((30, 12)))
         basis = lag_stack(wide, 0).basis
-        lifted = _top_eigenvectors(sym, r, "test", basis, np.empty((30, r)))
+        lifted = _top_eigenvectors(sym, r, "test", basis)
+        assert lifted.flags.c_contiguous
         np.testing.assert_array_equal(lifted, oriented(basis.lift(top)))
-
-    @pytest.mark.parametrize("p, n", [(6, 80), (40, 20)])
-    def test_stack_freed_before_result_is_wrapped(self, monkeypatch, p, n):
-        refs = []
-
-        def recording_lag_stack(panel, k0):
-            stack = lag_stack(panel, k0)
-            refs.append(weakref.ref(stack.covs))
-            if stack.basis is not None:
-                refs.append(weakref.ref(stack.basis))
-            return stack
-
-        live_at_wrap = []
-
-        def recording_loading_matrix(matrix):
-            live_at_wrap.append([ref() is not None for ref in refs])
-            return LoadingMatrix(matrix)
-
-        monkeypatch.setattr(loadings, "lag_stack", recording_lag_stack)
-        monkeypatch.setattr(loadings, "LoadingMatrix", recording_loading_matrix)
-        panel = noisy_factor_panel(p, n, 1, 2, seed=3)
-        strong = loadings.estimate_strong_loadings(panel, k0=2, r0=1)
-        loadings.estimate_weak_loadings(panel, strong, k0=2, r=2)
-        per_stack = 1 if p <= n else 2
-        assert live_at_wrap == [[False] * per_stack, [False] * 2 * per_stack]
 
 
 class TestProjection:
